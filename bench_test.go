@@ -196,7 +196,7 @@ func BenchmarkScenarios(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		records = records[:0]
 		for _, sc := range benchScenarios() {
-			rep, err := brisa.RunSim(sc)
+			rep, err := brisa.Run(context.Background(), brisa.SimRuntime{}, sc)
 			if err != nil {
 				b.Fatalf("%s: %v", sc.Name, err)
 			}

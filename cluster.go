@@ -359,16 +359,9 @@ func (c *Cluster) RunChurnScript(script string, protect ...NodeID) error {
 	if err != nil {
 		return err
 	}
-	parsed.Replay(churnScheduler{c}, &churnTarget{c: c, protect: protect})
+	// Script offsets count from the current virtual time.
+	parsed.Replay(offsetScheduler{c.Net, c.Net.Since()}, &churnTarget{c: c, protect: protect})
 	return nil
-}
-
-// churnScheduler adapts the cluster's virtual clock to the trace replayer,
-// anchoring script offsets at the current virtual time.
-type churnScheduler struct{ c *Cluster }
-
-func (s churnScheduler) At(offset time.Duration, fn func()) {
-	s.c.Net.At(s.c.Net.Since()+offset, fn)
 }
 
 // churnTarget adapts the cluster's churn primitives to the trace replayer.

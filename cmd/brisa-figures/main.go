@@ -1,7 +1,7 @@
 // Command brisa-figures regenerates the paper's tables and figures. Every
 // experiment is stated as one or more declarative brisa.Scenario values and
-// executed through the scenario runner (brisa.RunSim); this command only
-// selects, scales and prints them.
+// executed through the scenario runner (brisa.Run on SimRuntime); this
+// command only selects, scales and prints them.
 //
 // Usage:
 //

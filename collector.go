@@ -1,15 +1,13 @@
 package brisa
 
 import (
-	"context"
-	"fmt"
+	"cmp"
 	"hash/fnv"
 	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 )
 
@@ -108,6 +106,16 @@ type blobRec struct {
 	mbps float64 // payload MB over lat (0 when lat is 0: single-event blobs)
 }
 
+// newBlobRec derives one completed blob's record from its content hash,
+// payload size and first-chunk-to-reconstruction latency.
+func newBlobRec(hash uint64, size int, lat time.Duration) blobRec {
+	rec := blobRec{hash: hash, lat: lat.Seconds()}
+	if rec.lat > 0 {
+		rec.mbps = float64(size) / (1 << 20) / rec.lat
+	}
+	return rec
+}
+
 func newCollector(sc Scenario) *collector {
 	col := &collector{sc: sc, hard: make(map[NodeID]*stats.Sample)}
 	for _, w := range sc.Workloads {
@@ -189,6 +197,30 @@ func (col *collector) delivered(wi int, acc *nodeAcc, id NodeID, seq uint32, at 
 	}
 }
 
+// register creates one node's accumulators: a delivery and a blob
+// accumulator per workload, plus a hard-repair sample when ProbeRepairs is
+// on (nil otherwise). The node's actor — or, on the distributed runtime, the
+// fold replaying its monitor stream — is their only writer.
+func (col *collector) register(id NodeID) (accs []*nodeAcc, baccs []*blobAcc, hard *stats.Sample) {
+	accs = make([]*nodeAcc, len(col.ws))
+	baccs = make([]*blobAcc, len(col.bws))
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	for wi := range col.ws {
+		accs[wi] = &nodeAcc{}
+		col.ws[wi].accs[id] = accs[wi]
+	}
+	for wi := range col.bws {
+		baccs[wi] = &blobAcc{recs: make(map[uint32]blobRec)}
+		col.bws[wi].accs[id] = baccs[wi]
+	}
+	if col.sc.probed(ProbeRepairs) {
+		hard = &stats.Sample{}
+		col.hard[id] = hard
+	}
+	return accs, baccs, hard
+}
+
 // instrument attaches the collector to one peer: a delivery listener per
 // workload (when the latency probe is on) and one event listener for
 // duplicates and repair delays. It covers peers added mid-run by churn.
@@ -197,39 +229,16 @@ func (col *collector) delivered(wi int, acc *nodeAcc, id NodeID, seq uint32, at 
 func (col *collector) instrument(p *Peer) {
 	id := p.ID()
 	now := p.brisa.Now
-	accs := make([]*nodeAcc, len(col.ws))
-	baccs := make([]*blobAcc, len(col.bws))
-	var hard *stats.Sample
+	accs, baccs, hard := col.register(id)
 	wantDups := col.sc.probed(ProbeDuplicates)
-	wantRepairs := col.sc.probed(ProbeRepairs)
-	col.mu.Lock()
-	for wi := range col.ws {
-		acc := &nodeAcc{}
-		col.ws[wi].accs[id] = acc
-		accs[wi] = acc
-	}
-	for wi := range col.bws {
-		acc := &blobAcc{recs: make(map[uint32]blobRec)}
-		col.bws[wi].accs[id] = acc
-		baccs[wi] = acc
-	}
-	if wantRepairs {
-		hard = &stats.Sample{}
-		col.hard[id] = hard
-	}
-	col.mu.Unlock()
+	wantRepairs := hard != nil
 	// Blob completions are always recorded when blob workloads exist: the
 	// content-hash verification behind Reliability needs them regardless of
 	// probes, and blobs are few.
 	for wi := range col.bws {
 		acc := baccs[wi]
 		cancel := p.brisa.SubscribeBlobFn(col.bws[wi].w.Stream, func(d core.BlobDelivery) {
-			lat := d.At.Sub(d.FirstChunkAt).Seconds()
-			rec := blobRec{hash: blobHash(d.Data), lat: lat}
-			if lat > 0 {
-				rec.mbps = float64(len(d.Data)) / (1 << 20) / lat
-			}
-			acc.recs[d.ID] = rec
+			acc.recs[d.ID] = newBlobRec(blobHash(d.Data), len(d.Data), d.At.Sub(d.FirstChunkAt))
 		})
 		col.addCancel(cancel)
 	}
@@ -295,11 +304,8 @@ func (col *collector) detach() {
 	}
 }
 
-// streamReport folds one workload's collected state plus end-of-run polls
-// into its report. poll abstracts over the two runtimes: it reads a peer
-// state snapshot for every surviving node.
+// peerSnapshot is one node's end-of-run state for one stream.
 type peerSnapshot struct {
-	id           NodeID
 	delivered    uint64
 	orphan       bool
 	parents      []NodeID
@@ -309,7 +315,9 @@ type peerSnapshot struct {
 	constructOK  bool
 }
 
-func (col *collector) streamReport(wi int, survivors []peerSnapshot) *StreamReport {
+// streamReport folds one workload's collected state plus the survivors'
+// end-of-run snapshots into its report.
+func (col *collector) streamReport(wi int, survivors []memberSnapshot) *StreamReport {
 	col.mu.Lock()
 	defer col.mu.Unlock()
 	ws := col.ws[wi]
@@ -320,10 +328,11 @@ func (col *collector) streamReport(wi int, survivors []peerSnapshot) *StreamRepo
 	}
 
 	var complete, connected, counted int
-	for _, snap := range survivors {
-		if snap.id == ws.source {
+	for _, m := range survivors {
+		if m.id == ws.source {
 			continue
 		}
+		snap := m.streams[wi]
 		counted++
 		// A workload that published nothing is vacuously complete.
 		if snap.delivered == uint64(ws.pubs) {
@@ -384,12 +393,12 @@ func (col *collector) streamReport(wi int, survivors []peerSnapshot) *StreamRepo
 		if denom == 0 {
 			denom = 1
 		}
-		for _, snap := range survivors {
-			if snap.id == ws.source {
+		for _, m := range survivors {
+			if m.id == ws.source {
 				continue
 			}
 			var dups uint64
-			if acc := ws.accs[snap.id]; acc != nil {
+			if acc := ws.accs[m.id]; acc != nil {
 				dups = acc.dups
 			}
 			d.Add(float64(dups) / denom)
@@ -401,13 +410,13 @@ func (col *collector) streamReport(wi int, survivors []peerSnapshot) *StreamRepo
 		sr.Parents = make(map[NodeID][]NodeID)
 		sr.Degrees = stats.NewIntHistogram()
 		degrees := make(map[NodeID]int, len(survivors))
-		for _, snap := range survivors {
-			degrees[snap.id] += 0
-			if snap.id == ws.source {
+		for _, m := range survivors {
+			degrees[m.id] += 0
+			if m.id == ws.source {
 				continue
 			}
-			sr.Parents[snap.id] = snap.parents
-			for _, par := range snap.parents {
+			sr.Parents[m.id] = m.streams[wi].parents
+			for _, par := range m.streams[wi].parents {
 				degrees[par]++
 			}
 		}
@@ -419,8 +428,8 @@ func (col *collector) streamReport(wi int, survivors []peerSnapshot) *StreamRepo
 
 	if col.sc.probed(ProbeConstruction) {
 		c := &stats.Sample{}
-		for _, snap := range survivors {
-			if snap.constructOK {
+		for _, m := range survivors {
+			if snap := m.streams[wi]; snap.constructOK {
 				c.AddDuration(snap.construction)
 			}
 		}
@@ -429,18 +438,13 @@ func (col *collector) streamReport(wi int, survivors []peerSnapshot) *StreamRepo
 	return sr
 }
 
-// blobSnap is one surviving node's end-of-run blob counters for one stream.
-type blobSnap struct {
-	id    NodeID
-	stats BlobStats
-}
-
 // blobStreamReport folds one blob workload's collected state plus
-// end-of-run counter polls into its report. Folding runs in sorted node
-// order and ascending blob-id order within a node, so float summation order
-// — and with it the Report JSON — is bit-identical across runs and across
-// simulator worker counts.
-func (col *collector) blobStreamReport(wi int, srcStats BlobStats, survivors []blobSnap) *BlobStreamReport {
+// end-of-run counter polls into its report (the source's own counters, found
+// among the survivors — sources are never churn victims — give the upload
+// overhead). Folding runs in sorted node order and ascending blob-id order
+// within a node, so float summation order — and with it the Report JSON — is
+// bit-identical across runs and across simulator worker counts.
+func (col *collector) blobStreamReport(wi int, survivors []memberSnapshot) *BlobStreamReport {
 	col.mu.Lock()
 	defer col.mu.Unlock()
 	bs := col.bws[wi]
@@ -456,21 +460,22 @@ func (col *collector) blobStreamReport(wi int, srcStats BlobStats, survivors []b
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	slices.SortFunc(survivors, func(a, b blobSnap) int {
-		return int(int64(a.id) - int64(b.id))
-	})
+	survivors = slices.Clone(survivors) // the caller's order is the other folds'
+	slices.SortFunc(survivors, func(a, b memberSnapshot) int { return cmp.Compare(a.id, b.id) })
 
 	lat, thr := &stats.Sample{}, &stats.Sample{}
 	var complete, counted int
 	var pulled, received uint64
-	for _, snap := range survivors {
-		if snap.id == bs.source {
+	var srcStats BlobStats
+	for _, m := range survivors {
+		if m.id == bs.source {
+			srcStats = m.blobs[wi]
 			continue
 		}
 		counted++
-		pulled += snap.stats.ChunksPulled
-		received += snap.stats.ChunksReceived
-		acc := bs.accs[snap.id]
+		pulled += m.blobs[wi].ChunksPulled
+		received += m.blobs[wi].ChunksReceived
+		acc := bs.accs[m.id]
 		intact := true
 		for _, id := range ids {
 			var rec blobRec
@@ -536,17 +541,6 @@ func blobHash(data []byte) uint64 {
 	return h.Sum64()
 }
 
-// usageDelta subtracts a baseline usage snapshot, element-wise.
-func usageDelta(cur, base simnet.Usage) simnet.Usage {
-	for p := range cur.UpBytes {
-		for c := range cur.UpBytes[p] {
-			cur.UpBytes[p][c] -= base.UpBytes[p][c]
-			cur.DownBytes[p][c] -= base.DownBytes[p][c]
-		}
-	}
-	return cur
-}
-
 // sortedKeys returns a map's NodeID keys ascending.
 func sortedKeys[V any](m map[NodeID]V) []NodeID {
 	out := make([]NodeID, 0, len(m))
@@ -604,24 +598,9 @@ func depthHistogram(source NodeID, parents map[NodeID][]NodeID) *IntDist {
 	return h
 }
 
-// sumMetrics totals the BRISA counters over every peer ever created,
-// crashed ones included — churn rates count events, not survivors.
-func (c *Cluster) sumMetrics() Metrics {
-	var m Metrics
-	for _, p := range c.Peers() {
-		pm := p.Metrics()
-		m.ParentsLost += pm.ParentsLost
-		m.Orphans += pm.Orphans
-		m.SoftRepairs += pm.SoftRepairs
-		m.HardRepairs += pm.HardRepairs
-	}
-	return m
-}
-
 // snapshot reads one peer's end-of-run state.
 func snapshotPeer(p *Peer, stream StreamID) peerSnapshot {
 	snap := peerSnapshot{
-		id:        p.ID(),
 		delivered: p.DeliveredCount(stream),
 		orphan:    p.IsOrphan(stream),
 		parents:   p.Parents(stream),
@@ -629,320 +608,4 @@ func snapshotPeer(p *Peer, stream StreamID) peerSnapshot {
 	snap.depth, snap.depthOK = p.Depth(stream)
 	snap.construction, snap.constructOK = p.ConstructionTime(stream)
 	return snap
-}
-
-// Run executes the scenario on the simulator: against rt.Cluster when set,
-// else on a fresh cluster built from the scenario's topology and seed.
-// Prefer the package-level Run, which applies defaults and stamps run
-// metadata; this method re-normalizes defensively (withDefaults is
-// idempotent) for direct interface calls, and runScenario is the single
-// validation point.
-func (rt SimRuntime) Run(ctx context.Context, sc Scenario) (*Report, error) {
-	sc = sc.withDefaults()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c := rt.Cluster
-	if c == nil {
-		cfg := sc.Topology.clusterConfig(sc.Seed)
-		cfg.Faults = sc.Faults
-		cfg.Workers = rt.Workers
-		var err error
-		if c, err = NewCluster(cfg); err != nil {
-			return nil, err
-		}
-		defer c.Close()
-	}
-	return c.runScenario(ctx, sc)
-}
-
-// Run executes a scenario on this cluster.
-//
-// Deprecated: use Run(ctx, SimRuntime{Cluster: c}, sc) — the unified
-// entrypoint, which adds context cancellation and run metadata. This
-// wrapper yields the same Report.
-func (c *Cluster) Run(sc Scenario) (*Report, error) {
-	return Run(context.Background(), SimRuntime{Cluster: c}, sc)
-}
-
-// simChunk is the virtual-time slice runScenario advances per context
-// check: cancellation is observed at this granularity.
-const simChunk = time.Second
-
-// runScenario executes a scenario on this cluster: bootstrap (unless
-// already done), workload injection, optional churn, and probe collection
-// into a Report. The scenario's Topology is only consulted when the cluster
-// is built from it; running against a hand-built cluster uses the cluster
-// as-is (a zero Topology is filled in from it), so workload source indices
-// must fit its size. Delivery and traffic accounting is relative to the
-// state at entry, so a cluster — and even a stream — can be reused across
-// runs.
-func (c *Cluster) runScenario(ctx context.Context, sc Scenario) (*Report, error) {
-	if sc.Topology.Nodes == 0 {
-		// Hand-built cluster, Topology left empty: adopt the cluster's
-		// dimensions so validation reflects what actually runs.
-		sc.Topology.Nodes = len(c.order)
-		sc.Topology.Peer = c.cfg.Peer
-		if c.cfg.PeerConfigAt != nil || c.cfg.PeerConfig != nil {
-			// Mirror the cluster's per-peer derivation by creation index so
-			// validation skips the (possibly unused) shared Peer config.
-			sc.Topology.PeerConfig = func(i int) Config {
-				if i < len(c.order) {
-					return c.peerConfig(i, c.order[i])
-				}
-				return c.cfg.Peer
-			}
-		}
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if sc.Faults != nil && c.cfg.Faults == nil {
-		// Fault injection lives in the simulator's send/receive paths and is
-		// wired at construction; a pre-built cluster cannot adopt it late.
-		return nil, fmt.Errorf("brisa: Scenario %q has Faults, but the cluster was built without them: set ClusterConfig.Faults (or let the runtime build the cluster)", sc.Name)
-	}
-	for i, w := range sc.Workloads {
-		if w.Source >= len(c.order) {
-			return nil, fmt.Errorf("brisa: Scenario %q: workload %d sources from node index %d, cluster has %d nodes",
-				sc.Name, i, w.Source, len(c.order))
-		}
-	}
-	for i, w := range sc.BlobWorkloads {
-		if w.Source >= len(c.order) {
-			return nil, fmt.Errorf("brisa: Scenario %q: blob workload %d sources from node index %d, cluster has %d nodes",
-				sc.Name, i, w.Source, len(c.order))
-		}
-	}
-
-	wallStart := time.Now()
-
-	// Baselines: everything already delivered or sent before this run is
-	// subtracted, so reports stay correct when a cluster (or stream) is
-	// reused. Peers that churn in mid-run start from zero.
-	deliveredBase := make([]map[NodeID]uint64, len(sc.Workloads))
-	for wi, w := range sc.Workloads {
-		m := make(map[NodeID]uint64)
-		for _, p := range c.Peers() {
-			if n := p.DeliveredCount(w.Stream); n > 0 {
-				m[p.ID()] = n
-			}
-		}
-		deliveredBase[wi] = m
-	}
-	var usageBase map[NodeID]simnet.Usage
-	if sc.probed(ProbeTraffic) {
-		usageBase = make(map[NodeID]simnet.Usage, len(c.order))
-		for _, id := range c.order {
-			usageBase[id] = c.Net.Usage(id)
-		}
-	}
-	var faultsBase FaultStats
-	if c.cfg.Faults != nil {
-		faultsBase = c.Net.FaultStats()
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("brisa: Scenario %q aborted: %w", sc.Name, err)
-	}
-	if !c.bootstrapped {
-		c.Bootstrap()
-	}
-	peers := c.Peers()
-
-	col := newCollector(sc)
-	for wi, w := range sc.Workloads {
-		col.setSource(wi, peers[w.Source].ID())
-	}
-	for wi, w := range sc.BlobWorkloads {
-		col.setBlobSource(wi, peers[w.Source].ID())
-	}
-	for _, p := range peers {
-		col.instrument(p)
-	}
-	c.onAddPeer = col.instrument
-	defer func() {
-		c.onAddPeer = nil
-		col.detach()
-	}()
-
-	t0 := c.Net.Now()
-	c.Net.SetPhase(simnet.PhaseDissemination)
-
-	// Workload injection.
-	for wi, w := range sc.Workloads {
-		wi, w := wi, w
-		src := peers[w.Source]
-		for i := 0; i < w.Messages; i++ {
-			i := i
-			c.Net.After(w.Start+time.Duration(i)*w.Interval, func() {
-				at := c.Net.Now()
-				seq := src.Publish(w.Stream, make([]byte, w.Payload))
-				// Recording after the call is race-free here: remote
-				// deliveries only run in later simulator events.
-				col.published(wi, seq, at)
-			})
-		}
-	}
-	for wi, w := range sc.BlobWorkloads {
-		wi, w := wi, w
-		src := peers[w.Source]
-		prm := w.params()
-		for i := 0; i < w.Blobs; i++ {
-			i := i
-			c.Net.After(w.Start+time.Duration(i)*w.Interval, func() {
-				data := blobPayload(w.Stream, i, w.Size)
-				id, err := src.brisa.PublishBlob(w.Stream, data, prm)
-				if err != nil {
-					// Geometry was caught by Validate; a failure here is a bug.
-					panic("brisa: blob publish: " + err.Error())
-				}
-				col.blobPublished(wi, id, len(data), blobHash(data))
-			})
-		}
-	}
-
-	// Churn, with metric snapshots bracketing the script's window.
-	var churnWindow time.Duration
-	var before, after Metrics
-	if sc.Churn != nil {
-		churnWindow, _ = sc.Churn.window()
-		protect := make([]NodeID, 0, len(sc.Workloads)+len(sc.BlobWorkloads))
-		for _, w := range sc.Workloads {
-			protect = append(protect, peers[w.Source].ID())
-		}
-		for _, w := range sc.BlobWorkloads {
-			protect = append(protect, peers[w.Source].ID())
-		}
-		script := sc.Churn.Script
-		c.Net.After(sc.Churn.Start, func() {
-			before = c.sumMetrics()
-			// Parse errors were caught by Validate; a failure here is a bug.
-			if err := c.RunChurnScript(script, protect...); err != nil {
-				panic("brisa: churn script: " + err.Error())
-			}
-		})
-		c.Net.After(sc.Churn.Start+churnWindow, func() {
-			after = c.sumMetrics()
-		})
-	}
-
-	// Advance virtual time in slices so a cancelled context aborts the run
-	// (and with it every scheduled workload publish and churn directive)
-	// within one chunk.
-	total := sc.end() + sc.Drain
-	for ran := time.Duration(0); ran < total; {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("brisa: Scenario %q aborted: %w", sc.Name, err)
-		}
-		step := simChunk
-		if rem := total - ran; rem < step {
-			step = rem
-		}
-		c.Net.RunFor(step)
-		ran += step
-	}
-
-	// Collection.
-	alive := c.AlivePeers()
-	rep := &Report{
-		Name:    sc.Name,
-		Runtime: "sim",
-		Nodes:   len(peers),
-		Alive:   len(alive),
-		Elapsed: c.Net.Now().Sub(t0),
-	}
-	for wi, w := range sc.Workloads {
-		survivors := make([]peerSnapshot, 0, len(alive))
-		for _, p := range alive {
-			snap := snapshotPeer(p, w.Stream)
-			snap.delivered -= deliveredBase[wi][p.ID()]
-			survivors = append(survivors, snap)
-		}
-		rep.Streams = append(rep.Streams, col.streamReport(wi, survivors))
-	}
-	for wi, w := range sc.BlobWorkloads {
-		snaps := make([]blobSnap, 0, len(alive))
-		for _, p := range alive {
-			snaps = append(snaps, blobSnap{id: p.ID(), stats: p.BlobStats(w.Stream)})
-		}
-		rep.Blobs = append(rep.Blobs, col.blobStreamReport(wi, peers[w.Source].BlobStats(w.Stream), snaps))
-	}
-
-	if sc.probed(ProbeTraffic) {
-		sources := make(map[NodeID]bool, len(sc.Workloads)+len(sc.BlobWorkloads))
-		for _, w := range sc.Workloads {
-			sources[peers[w.Source].ID()] = true
-		}
-		for _, w := range sc.BlobWorkloads {
-			sources[peers[w.Source].ID()] = true
-		}
-		tr := &TrafficReport{
-			DownRate: &stats.Sample{},
-			UpRate:   &stats.Sample{},
-			Elapsed:  rep.Elapsed,
-		}
-		elapsed := rep.Elapsed.Seconds()
-		var stab, diss uint64
-		counted := 0
-		for _, p := range alive {
-			if sources[p.ID()] {
-				continue
-			}
-			counted++
-			u := usageDelta(c.Net.Usage(p.ID()), usageBase[p.ID()])
-			stab += u.UpBytes[simnet.PhaseStabilization][0] + u.UpBytes[simnet.PhaseStabilization][1]
-			diss += u.UpBytes[simnet.PhaseDissemination][0] + u.UpBytes[simnet.PhaseDissemination][1]
-			down := u.DownBytes[simnet.PhaseDissemination][0] + u.DownBytes[simnet.PhaseDissemination][1]
-			up := u.UpBytes[simnet.PhaseDissemination][0] + u.UpBytes[simnet.PhaseDissemination][1]
-			if elapsed > 0 {
-				tr.DownRate.Add(float64(down) / 1024 / elapsed)
-				tr.UpRate.Add(float64(up) / 1024 / elapsed)
-			}
-		}
-		if counted > 0 {
-			tr.StabMB = float64(stab) / float64(counted) / (1 << 20)
-			tr.DissMB = float64(diss) / float64(counted) / (1 << 20)
-		}
-		rep.Traffic = tr
-	}
-
-	if sc.Churn != nil && sc.probed(ProbeRepairs) {
-		minutes := churnWindow.Minutes()
-		if minutes <= 0 {
-			minutes = rep.Elapsed.Minutes()
-		}
-		cr := &ChurnReport{Window: churnWindow, HardDelays: col.hardRepairDelays()}
-		lost := float64(after.ParentsLost - before.ParentsLost)
-		orphans := float64(after.Orphans - before.Orphans)
-		soft := float64(after.SoftRepairs - before.SoftRepairs)
-		hard := float64(after.HardRepairs - before.HardRepairs)
-		if minutes > 0 {
-			cr.ParentsLostPerMin = lost / minutes
-			cr.OrphansPerMin = orphans / minutes
-		}
-		if soft+hard > 0 {
-			cr.SoftPct = 100 * soft / (soft + hard)
-			cr.HardPct = 100 * hard / (soft + hard)
-		}
-		rep.Churn = cr
-	}
-
-	if f := c.cfg.Faults; f != nil {
-		fr := &FaultsReport{
-			Loss:       f.Loss,
-			Duplicate:  f.Duplicate,
-			Reorder:    f.Reorder,
-			Partitions: len(f.Partitions),
-			Injected:   c.Net.FaultStats().Delta(faultsBase),
-		}
-		if f.Buffer != nil {
-			fr.BufferCapacity = f.Buffer.Capacity
-			fr.BufferPolicy = f.Buffer.Policy.String()
-		}
-		rep.Faults = fr
-	}
-
-	rep.Wall = time.Since(wallStart)
-	return rep, nil
 }

@@ -121,14 +121,7 @@ type DistWorkerSpec struct {
 	Probes        []Probe        `json:"probes,omitempty"`
 }
 
-func (spec DistWorkerSpec) probed(p Probe) bool {
-	for _, q := range spec.Probes {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
+func (spec DistWorkerSpec) probed(p Probe) bool { return Scenario{Probes: spec.Probes}.probed(p) }
 
 // distFlushEvery paces the worker's periodic measurement flush: fresh enough
 // for the driver's drain polls, coarse enough to batch deliveries.

@@ -76,7 +76,7 @@ func ExampleRun_dist() {
 // deterministic simulator. The same value runs unchanged on live loopback
 // TCP nodes via Run(ctx, LiveRuntime{}, sc).
 func ExampleScenario() {
-	rep, err := brisa.RunSim(brisa.Scenario{
+	rep, err := brisa.Run(context.Background(), brisa.SimRuntime{}, brisa.Scenario{
 		Name: "two streams, two sources",
 		Seed: 42,
 		Topology: brisa.Topology{
@@ -121,7 +121,7 @@ func ExampleWorkload() {
 		Probes: []brisa.Probe{brisa.ProbeRepairs},
 		Drain:  30 * time.Second,
 	}
-	rep, err := brisa.RunSim(sc)
+	rep, err := brisa.Run(context.Background(), brisa.SimRuntime{}, sc)
 	if err != nil {
 		log.Fatal(err)
 	}

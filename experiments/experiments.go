@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§III). Each RunXxx function states the corresponding workload
 // as one or more brisa.Scenario values, executes them through the
-// declarative runner (brisa.RunSim / Cluster.Run), and folds the Reports
+// declarative runner (brisa.Run on SimRuntime), and folds the Reports
 // into a result that renders the same rows/series the paper reports.
 //
 // Every experiment accepts a Scale in (0,1]: 1 reproduces the paper's
@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	brisa "repro"
 )
 
@@ -65,7 +66,7 @@ func (r TableResult) String() string {
 // error here is a programming bug in the experiment, not an operator input,
 // so it panics instead of threading errors through every RunXxx signature.
 func mustRun(sc brisa.Scenario) *brisa.Report {
-	rep, err := brisa.RunSim(sc)
+	rep, err := brisa.Run(context.Background(), brisa.SimRuntime{}, sc)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	brisa "repro"
+	"repro/internal/simnet"
 )
 
 // Small scales keep the suite fast; shapes must already hold.
@@ -299,5 +302,26 @@ func TestFaultSweepShapeReliabilityHolds(t *testing.T) {
 			t.Errorf("injected losses should grow with the loss rate: %v then %v", prevLost, lost)
 		}
 		prevLost = lost
+	}
+}
+
+// The baseline harness must measure the same thing at every scheduler shard
+// count. Not parallel: it sets GOMAXPROCS, which picks the simulator's
+// default shard count (one per CPU).
+func TestBaselineSystemsWorkerInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	p := sysParams{Nodes: 32, Msgs: 20, Payload: 1024, Seed: 1,
+		Proc: simnet.LogNormalDelay(8*time.Millisecond, 1.0)}
+	for _, sys := range systemRunners() {
+		runtime.GOMAXPROCS(1)
+		one := sys.run(p)
+		runtime.GOMAXPROCS(2)
+		two := sys.run(p)
+		if one != two {
+			t.Errorf("%s: GOMAXPROCS=1 measured %+v, GOMAXPROCS=2 %+v", sys.name, one, two)
+		}
+		if one.MeanDelay <= 0 {
+			t.Errorf("%s: mean delay %v, want > 0", sys.name, one.MeanDelay)
+		}
 	}
 }

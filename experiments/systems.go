@@ -45,12 +45,13 @@ type sysResult struct {
 // deliveryTracker records first/last delivery instants per node plus the
 // per-message delivery delay relative to publish time. record runs on
 // scheduler shard goroutines (the simulator defaults to one shard per CPU),
-// so the maps are mutex-guarded.
+// so the maps are mutex-guarded and every instant comes from the caller: the
+// delivering node's own clock, never the network-level one, which stands
+// still between barriers.
 type deliveryTracker struct {
 	mu          sync.Mutex
 	first, last map[ids.NodeID]time.Time
 	count       map[ids.NodeID]int
-	now         func() time.Time
 	pubAt       map[uint32]time.Time
 	delaySum    time.Duration
 	delayN      int
@@ -66,15 +67,13 @@ func newDeliveryTracker() *deliveryTracker {
 }
 
 // published records a message's injection time.
-func (d *deliveryTracker) published(seq uint32) {
-	t := d.now()
+func (d *deliveryTracker) published(seq uint32, t time.Time) {
 	d.mu.Lock()
 	d.pubAt[seq] = t
 	d.mu.Unlock()
 }
 
-func (d *deliveryTracker) record(id ids.NodeID, seq uint32) {
-	t := d.now()
+func (d *deliveryTracker) record(id ids.NodeID, seq uint32, t time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.first[id]; !ok {
@@ -182,15 +181,13 @@ func nonSource(all []ids.NodeID, source ids.NodeID) []ids.NodeID {
 func runSystemSimpleTree(p sysParams) sysResult {
 	net := simnet.New(simnet.Options{Seed: p.Seed, Latency: p.Latency, ProcessingDelay: p.Proc})
 	tr := newDeliveryTracker()
-	tr.now = net.Now
 	coord := ids.NodeID(1)
 	peers := make([]*simpletree.Peer, p.Nodes)
 	for i := 0; i < p.Nodes; i++ {
 		self := ids.NodeID(i + 1)
-		peers[i] = simpletree.New(self, coord, func(_ ids.NodeID) func(brisa.StreamID, uint32, []byte) {
-			id := self
-			return func(_ brisa.StreamID, seq uint32, _ []byte) { tr.record(id, seq) }
-		}(self))
+		peers[i] = simpletree.New(self, coord, func(_ brisa.StreamID, seq uint32, _ []byte) {
+			tr.record(self, seq, peers[i].Now())
+		})
 		net.AddNode(self, peers[i].Handler())
 	}
 	for i := 1; i < p.Nodes; i++ {
@@ -203,7 +200,7 @@ func runSystemSimpleTree(p sysParams) sysResult {
 		i := i
 		net.After(time.Duration(i)*MessageInterval, func() {
 			seq := peers[0].Publish(Stream, make([]byte, p.Payload))
-			tr.published(seq)
+			tr.published(seq, net.Now())
 		})
 	}
 	net.RunFor(time.Duration(p.Msgs)*MessageInterval + 20*time.Second)
@@ -223,15 +220,13 @@ func runSystemSimpleTree(p sysParams) sysResult {
 func runSystemSimpleGossip(p sysParams) sysResult {
 	net := simnet.New(simnet.Options{Seed: p.Seed, Latency: p.Latency, ProcessingDelay: p.Proc})
 	tr := newDeliveryTracker()
-	tr.now = net.Now
 	peers := make([]*simplegossip.Peer, p.Nodes)
 	for i := 0; i < p.Nodes; i++ {
 		self := ids.NodeID(i + 1)
-		id := self
 		peers[i] = simplegossip.New(simplegossip.Config{
 			Fanout:            simplegossip.FanoutFor(p.Nodes),
 			AntiEntropyPeriod: MessageInterval / 2, // double the creation frequency
-			OnDeliver:         func(_ brisa.StreamID, seq uint32, _ []byte) { tr.record(id, seq) },
+			OnDeliver:         func(_ brisa.StreamID, seq uint32, _ []byte) { tr.record(self, seq, peers[i].Now()) },
 		})
 		net.AddNode(self, peers[i].Handler())
 	}
@@ -247,7 +242,7 @@ func runSystemSimpleGossip(p sysParams) sysResult {
 		i := i
 		net.After(time.Duration(i)*MessageInterval, func() {
 			seq := peers[0].Publish(Stream, make([]byte, p.Payload))
-			tr.published(seq)
+			tr.published(seq, net.Now())
 		})
 	}
 	net.RunFor(time.Duration(p.Msgs)*MessageInterval + 30*time.Second)
@@ -346,22 +341,21 @@ func (tc *tagCluster) stabilize(n int) {
 
 func runSystemTAG(p sysParams) sysResult {
 	tr := newDeliveryTracker()
-	tc := newTagClusterProc(p.Nodes, p.Seed, p.Latency, p.Proc, func(self ids.NodeID) tag.Config {
-		id := self
+	var tc *tagCluster
+	tc = newTagClusterProc(p.Nodes, p.Seed, p.Latency, p.Proc, func(self ids.NodeID) tag.Config {
 		return tag.Config{
 			PullPeriod:      400 * time.Millisecond,
 			MaxItemsPerPull: 1,
-			OnDeliver:       func(_ brisa.StreamID, seq uint32, _ []byte) { tr.record(id, seq) },
+			OnDeliver:       func(_ brisa.StreamID, seq uint32, _ []byte) { tr.record(self, seq, tc.byID[self].Now()) },
 		}
 	})
-	tr.now = tc.net.Now
 	tc.stabilize(p.Nodes)
 	tc.net.SetPhase(simnet.PhaseDissemination)
 	for i := 0; i < p.Msgs; i++ {
 		i := i
 		tc.net.After(time.Duration(i)*MessageInterval, func() {
 			seq := tc.peers[0].Publish(Stream, make([]byte, p.Payload))
-			tr.published(seq)
+			tr.published(seq, tc.net.Now())
 		})
 	}
 	// TAG's one-item pulls drain slower than the injection rate; allow the

@@ -86,7 +86,7 @@ func TestFaultsNeedFaultyCluster(t *testing.T) {
 // job runs this against the sharded scheduler.
 func TestFaultPackSmoke(t *testing.T) {
 	t.Parallel()
-	rep, err := brisa.RunSim(brisa.Scenario{
+	rep, err := brisa.Run(context.Background(), brisa.SimRuntime{}, brisa.Scenario{
 		Name: "fault-pack-smoke",
 		Seed: 29,
 		Topology: brisa.Topology{
@@ -151,7 +151,7 @@ func TestReliabilityVsLossCurve(t *testing.T) {
 		if loss > 0 {
 			sc.Faults = &brisa.FaultModel{Loss: loss}
 		}
-		rep, err := brisa.RunSim(sc)
+		rep, err := brisa.Run(context.Background(), brisa.SimRuntime{}, sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,6 +148,11 @@ func New(cfg Config) *Peer {
 	}
 }
 
+// Now returns the node's own clock — the one instrumentation callbacks must
+// read: under the sharded simulator the network-level clock is only valid at
+// barriers.
+func (p *Peer) Now() time.Time { return p.env.Now() }
+
 // Handler returns the actor to register with a runtime: the Cyclon layer
 // and the gossip layer on one mux.
 func (p *Peer) Handler() node.Handler {

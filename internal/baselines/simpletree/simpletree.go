@@ -8,6 +8,8 @@
 package simpletree
 
 import (
+	"time"
+
 	"repro/internal/ids"
 	"repro/internal/node"
 	"repro/internal/wire"
@@ -63,6 +65,11 @@ func New(self, coord ids.NodeID, onDeliver func(wire.StreamID, uint32, []byte)) 
 		onDeliver: onDeliver,
 	}
 }
+
+// Now returns the node's own clock — the one instrumentation callbacks must
+// read: under the sharded simulator the network-level clock is only valid at
+// barriers.
+func (p *Peer) Now() time.Time { return p.env.Now() }
 
 // Handler returns the actor to register with a runtime.
 func (p *Peer) Handler() node.Handler {

@@ -142,6 +142,11 @@ func New(self ids.NodeID, cfg Config) *Peer {
 	}
 }
 
+// Now returns the node's own clock — the one instrumentation callbacks must
+// read: under the sharded simulator the network-level clock is only valid at
+// barriers.
+func (p *Peer) Now() time.Time { return p.env.Now() }
+
 // Handler returns the actor to register with a runtime.
 func (p *Peer) Handler() node.Handler {
 	mux := node.NewMux()

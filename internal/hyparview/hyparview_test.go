@@ -2,6 +2,7 @@ package hyparview
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -186,11 +187,18 @@ func TestRTTMeasurement(t *testing.T) {
 
 func TestPiggybackDelivery(t *testing.T) {
 	netw := simnet.New(simnet.Options{Seed: 5})
+	// OnPiggyback runs on scheduler shard goroutines (one shard per CPU by
+	// default), so the shared map is guarded.
+	var mu sync.Mutex
 	got := make(map[ids.NodeID]string)
 	mk := func(self ids.NodeID) *Protocol {
 		cfg := DefaultConfig()
 		cfg.Piggyback = func() []byte { return []byte(fmt.Sprintf("state-of-%d", uint64(self))) }
-		cfg.OnPiggyback = func(peer ids.NodeID, blob []byte) { got[peer] = string(blob) }
+		cfg.OnPiggyback = func(peer ids.NodeID, blob []byte) {
+			mu.Lock()
+			got[peer] = string(blob)
+			mu.Unlock()
+		}
 		return New(cfg)
 	}
 	var protos []*Protocol

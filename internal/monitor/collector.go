@@ -205,17 +205,25 @@ func (c *Collector) serve(conn net.Conn) {
 // waitPoll is the collector's condition-poll interval.
 const waitPoll = 20 * time.Millisecond
 
-func (c *Collector) await(ctx context.Context, timeout time.Duration, what string, cond func() bool) error {
+// await polls until have holds for every listed node, and names the nodes
+// still missing when the timeout expires first.
+func (c *Collector) await(ctx context.Context, timeout time.Duration, what string, nodes []ids.NodeID, have func(ids.NodeID) bool) error {
 	deadline := time.Now().Add(timeout)
 	for {
+		var missing []ids.NodeID
 		c.mu.Lock()
-		ok := cond()
+		for _, id := range nodes {
+			if !have(id) {
+				missing = append(missing, id)
+			}
+		}
 		c.mu.Unlock()
-		if ok {
+		if len(missing) == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("monitor: timed out waiting for %s", what)
+			return fmt.Errorf("monitor: timed out after %v waiting for %s from %d of %d nodes: %v",
+				timeout, what, len(missing), len(nodes), missing)
 		}
 		select {
 		case <-ctx.Done():
@@ -227,13 +235,9 @@ func (c *Collector) await(ctx context.Context, timeout time.Duration, what strin
 
 // WaitFor blocks until every listed node has sent its Hello.
 func (c *Collector) WaitFor(ctx context.Context, nodes []ids.NodeID, timeout time.Duration) error {
-	return c.await(ctx, timeout, "worker hellos", func() bool {
-		for _, id := range nodes {
-			if _, ok := c.nodes[id]; !ok {
-				return false
-			}
-		}
-		return true
+	return c.await(ctx, timeout, "a hello", nodes, func(id ids.NodeID) bool {
+		_, ok := c.nodes[id]
+		return ok
 	})
 }
 
@@ -241,14 +245,8 @@ func (c *Collector) WaitFor(ctx context.Context, nodes []ids.NodeID, timeout tim
 // i.e. everything those nodes measured before the flush command has been
 // folded into the collector's state.
 func (c *Collector) WaitFlush(ctx context.Context, token uint64, nodes []ids.NodeID, timeout time.Duration) error {
-	return c.await(ctx, timeout, fmt.Sprintf("flush token %d", token), func() bool {
-		set := c.tokens[token]
-		for _, id := range nodes {
-			if !set[id] {
-				return false
-			}
-		}
-		return true
+	return c.await(ctx, timeout, fmt.Sprintf("flush token %d", token), nodes, func(id ids.NodeID) bool {
+		return c.tokens[token][id]
 	})
 }
 

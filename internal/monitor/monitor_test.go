@@ -6,6 +6,7 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -168,6 +169,17 @@ func TestCollectorEndToEnd(t *testing.T) {
 	}
 	if got := c.DeliveredCount(node, 0); got != 1 {
 		t.Errorf("DeliveredCount = %d, want 1", got)
+	}
+	// A barrier that times out names the nodes it is still waiting on, not
+	// just the token: node passed 9 but never sends 10, absent never dialed.
+	absent := ids.NodeID(0x010203040506)
+	err = c.WaitFlush(ctx, 10, []ids.NodeID{node, absent}, 50*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), node.String()) || !strings.Contains(err.Error(), absent.String()) {
+		t.Errorf("WaitFlush timeout = %v, want both missing node ids named", err)
+	}
+	err = c.WaitFor(ctx, []ids.NodeID{node, absent}, 50*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), absent.String()) || strings.Contains(err.Error(), node.String()) {
+		t.Errorf("WaitFor timeout = %v, want only the absent node named", err)
 	}
 	c.View(func(nodes map[ids.NodeID]*NodeState, pubs map[int]map[uint32]int64, _ map[int]map[uint32]BlobPublished) {
 		ns := nodes[node]

@@ -185,7 +185,7 @@ type FaultsReport struct {
 }
 
 // Report is the outcome of one scenario run, with per-stream results and
-// CDF/table renderers. The same shape comes back from both runtimes.
+// CDF/table renderers. The same shape comes back from every runtime.
 type Report struct {
 	// Name echoes the scenario.
 	Name string

@@ -5,16 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/ids"
 	"repro/internal/monitor"
-	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // DistRuntime runs scenarios across machines: real peer processes spawned by
@@ -57,348 +53,87 @@ const distStabilize = 30 * time.Second
 // milliseconds; the headroom covers loaded CI machines).
 const distFlushTimeout = 30 * time.Second
 
-// Run executes the scenario across the runtime's agents: spawn one worker
-// process per topology slot (round-robin), bootstrap with a readiness poll,
-// dispatch workloads to the owning agents in wall time, replay the churn
-// script by killing and spawning real remote processes, and fold the
-// monitor stream — behind flush barriers, in sorted agent/node order — into
-// a Report of the same shape the other runtimes produce. Prefer the
+// Run executes the scenario across the runtime's agents: one worker process
+// per topology slot (round-robin), workloads dispatched to the owning agents
+// in wall time, the churn script replayed by killing and spawning real
+// remote processes, and the monitor stream — behind flush barriers — folded
+// into a Report of the same shape the other runtimes produce. Prefer the
 // package-level Run, which applies defaults and stamps run metadata.
 func (rt DistRuntime) Run(ctx context.Context, sc Scenario) (*Report, error) {
 	sc = sc.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(rt.Agents) == 0 {
-		return nil, fmt.Errorf("brisa: dist: DistRuntime needs at least one agent address")
-	}
-	// Fail fast on configs that cannot cross a process boundary, before any
-	// remote state exists. Churn joins derive configs at higher indices
-	// later; those panic like the live runtime's derivation does.
-	n := sc.Topology.Nodes
-	for i := 0; i < n; i++ {
-		if _, err := distConfigOf(sc.Topology.configFor(i)); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: node %d: %w", sc.Name, i, err)
-		}
-	}
-
-	wallStart := time.Now()
-	monAddr := rt.Monitor
-	if monAddr == "" {
-		monAddr = "127.0.0.1:0"
-	}
-	mon, err := monitor.NewCollector(monAddr)
-	if err != nil {
-		return nil, err
-	}
-	defer mon.Close()
-
-	dn := &distNet{
-		sc:      sc,
-		ctx:     ctx,
-		mon:     mon,
-		rng:     rand.New(rand.NewSource(sc.Seed)),
-		protect: make(map[NodeID]bool),
-	}
-	defer dn.shutdown()
-	dialTimeout := rt.DialTimeout
-	if dialTimeout == 0 {
-		dialTimeout = 5 * time.Second
-	}
-	for _, addr := range rt.Agents {
-		a, err := dialAgent(addr, dialTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: %w", sc.Name, err)
-		}
-		dn.agents = append(dn.agents, a)
-	}
-
-	// Spawn phase: one worker process per topology slot, round-robin across
-	// agents in join-index order.
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q aborted: %w", sc.Name, err)
-		}
-		if _, err := dn.spawn(); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: node %d: %w", sc.Name, i, err)
-		}
-	}
-	initial := dn.aliveMembers()
-	if err := mon.WaitFor(ctx, memberIDs(initial), distFlushTimeout); err != nil {
-		return nil, fmt.Errorf("brisa: dist %q: %w", sc.Name, err)
-	}
-
-	// Bootstrap: like the live runtime, every node joins through the first
-	// node plus its predecessor. The worker's join op blocks until the
-	// overlay accepts it.
-	for i := 1; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q aborted: %w", sc.Name, err)
-		}
-		contacts := []string{initial[0].addr}
-		if i > 1 {
-			contacts = append(contacts, initial[i-1].addr)
-		}
-		m := initial[i]
-		resp, err := m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "join", Contacts: contacts, Wait: true})
-		if err == nil && !resp.OK {
-			err = fmt.Errorf("%s", resp.Err)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: node %d join: %w", sc.Name, i, err)
-		}
-	}
-	if n > 1 {
-		settle := sc.Topology.StabilizeTime
-		if settle == 0 {
-			settle = distStabilize
-		}
-		if err := dn.awaitReady(ctx, settle); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: %w", sc.Name, err)
-		}
-	}
-
-	for _, w := range sc.Workloads {
-		dn.protect[initial[w.Source].id] = true
-	}
-	for _, w := range sc.BlobWorkloads {
-		dn.protect[initial[w.Source].id] = true
-	}
-
-	t0 := time.Now()
-	// Traffic baseline: a flush barrier gives every node's precise counters
-	// at dissemination start — bytes before it are the stabilization phase.
-	if sc.probed(ProbeTraffic) {
-		if err := dn.flushBarrier(ctx); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: baseline: %w", sc.Name, err)
-		}
-		mon.MarkTrafficBase(memberIDs(dn.aliveMembers()))
-	}
-
-	// Churn: replay the script in wall time on a dedicated goroutine,
-	// bracketed by flush-barrier metric snapshots. Fail kills a real remote
-	// process (SIGKILL through its agent); Join spawns a fresh one.
-	var churnDone chan struct{}
-	var churnErr error
-	var before, after map[NodeID]monitor.NodeMetrics
-	if sc.Churn != nil {
-		// Parse errors were caught by Validate; a failure here is a bug.
-		parsed, err := trace.Parse(sc.Churn.Script)
-		if err != nil {
-			panic("brisa: churn script: " + err.Error())
-		}
-		sched := &churnSchedule{}
-		parsed.Replay(sched, dn)
-		sort.SliceStable(sched.events, func(i, j int) bool {
-			return sched.events[i].at < sched.events[j].at
-		})
-		window, _ := sc.Churn.window()
-		anchor := t0.Add(sc.Churn.Start)
-		churnDone = make(chan struct{})
-		go func() {
-			defer close(churnDone)
-			if !sleepUntil(ctx, anchor) {
-				return
-			}
-			before, churnErr = dn.metricsSnapshot(ctx)
-			for _, ev := range sched.events {
-				if !sleepUntil(ctx, anchor.Add(ev.at)) {
-					return
-				}
-				ev.fn()
-			}
-			if !sleepUntil(ctx, anchor.Add(window)) {
-				return
-			}
-			var err error
-			after, err = dn.metricsSnapshot(ctx)
-			if churnErr == nil {
-				churnErr = err
-			}
-		}()
-	}
-
-	// Workload dispatch: one goroutine per stream, paced in wall time,
-	// publishing through the source's agent. The worker records the publish
-	// instant on its own clock and streams it to the collector.
-	var wg sync.WaitGroup
-	for wi, w := range sc.Workloads {
-		wi, w := wi, w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !sleepFor(ctx, w.Start) {
-				return
-			}
-			src := initial[w.Source]
-			for i := 0; i < w.Messages; i++ {
-				resp, err := src.agent.workerCmd(ctx, src.worker, distWorkerCmd{Op: "publish", WI: wi})
-				if err == nil && !resp.OK {
-					err = fmt.Errorf("%s", resp.Err)
-				}
-				if err != nil {
-					dn.fail(fmt.Errorf("workload %d publish %d: %w", wi, i+1, err))
-					return
-				}
-				if i < w.Messages-1 && !sleepFor(ctx, w.Interval) {
-					return
-				}
-			}
-		}()
-	}
-	for wi, w := range sc.BlobWorkloads {
-		wi, w := wi, w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !sleepFor(ctx, w.Start) {
-				return
-			}
-			src := initial[w.Source]
-			for i := 0; i < w.Blobs; i++ {
-				resp, err := src.agent.workerCmd(ctx, src.worker, distWorkerCmd{Op: "publishblob", WI: wi, Index: i})
-				if err == nil && !resp.OK {
-					err = fmt.Errorf("%s", resp.Err)
-				}
-				if err != nil {
-					dn.fail(fmt.Errorf("blob workload %d publish %d: %w", wi, i+1, err))
-					return
-				}
-				if i < w.Blobs-1 && !sleepFor(ctx, w.Interval) {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if churnDone != nil {
-		<-churnDone
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("brisa: dist %q aborted: %w", sc.Name, err)
-	}
-	if err := dn.err(); err != nil {
-		return nil, fmt.Errorf("brisa: dist %q: %w", sc.Name, err)
-	}
-	if churnErr != nil {
-		return nil, fmt.Errorf("brisa: dist %q: churn bracket: %w", sc.Name, churnErr)
-	}
-
-	// Drain: poll the collector until every alive node delivered every
-	// stream in full, bounded by the drain budget. Unlike the live runtime,
-	// churned-in nodes count too: a workload that starts after the churn
-	// window (the distributed pattern for full-reliability runs) lets them
-	// catch up completely, and a generic scenario just spends the budget —
-	// the same worst case live has.
-	deadline := time.Now().Add(sc.Drain)
-	for time.Now().Before(deadline) && ctx.Err() == nil {
-		if dn.complete() {
-			break
-		}
-		time.Sleep(livePoll)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("brisa: dist %q aborted: %w", sc.Name, err)
-	}
-	elapsed := time.Since(t0)
-
-	// Final flush barrier: after it passes, the collector holds every
-	// node's complete measurement stream and end-of-run snapshots.
-	if err := dn.flushBarrier(ctx); err != nil {
-		return nil, fmt.Errorf("brisa: dist %q: final flush: %w", sc.Name, err)
-	}
-
-	rep := &Report{
-		Name:    sc.Name,
-		Runtime: DistRuntime{}.Name(),
-		Nodes:   n,
-		Alive:   len(dn.aliveMembers()),
-		Elapsed: elapsed,
-	}
-	dn.fold(sc, initial, rep, elapsed, before, after)
-	rep.Wall = time.Since(wallStart)
-	return rep, nil
+	dn := &distNet{rt: rt}
+	dn.overlay = newOverlay[*distMember](sc, dn, distStabilize)
+	return runScenario(ctx, dn, sc)
 }
 
-// memberIDs projects members onto their node ids.
-func memberIDs(ms []*distMember) []NodeID {
-	out := make([]NodeID, len(ms))
-	for i, m := range ms {
-		out[i] = m.id
-	}
-	return out
-}
-
-// distNet is the distributed runtime's member set: creation-ordered worker
-// processes across the agents, their liveness, and the churn plumbing —
-// the remote sibling of liveNet.
+// distNet is the distributed runtime's world: an overlay of worker processes
+// across the agents, measured through the monitor collector.
 type distNet struct {
-	sc  Scenario
-	ctx context.Context
-	mon *monitor.Collector
-
+	overlay[*distMember]
+	rt     DistRuntime
+	col    *collector
+	mon    *monitor.Collector
 	agents []*agentConn
-
-	mu      sync.Mutex
-	rng     *rand.Rand
-	members []*distMember
-	protect map[NodeID]bool
-	token   uint64
-	firstEr error
+	token  uint64 // last flush barrier
 }
 
-// distMember is one worker-process slot: members keep their slot (and
-// index) after death, like the live runtime's members.
+// distMember is one remote worker process.
 type distMember struct {
-	index  int
+	dn     *distNet
 	agent  *agentConn
 	worker int // agent-assigned worker handle
 	addr   string
 	id     NodeID
-	alive  bool
 }
 
-func (dn *distNet) fail(err error) {
-	dn.mu.Lock()
-	if dn.firstEr == nil {
-		dn.firstEr = err
-	}
-	dn.mu.Unlock()
+func (m *distMember) nodeID() NodeID  { return m.id }
+func (m *distMember) address() string { return m.addr }
+
+// cmd relays one command to the worker, under the run's context.
+func (m *distMember) cmd(cmd distWorkerCmd) (distWorkerResp, error) {
+	return m.agent.workerCmd(m.dn.ctx, m.worker, cmd)
 }
 
-func (dn *distNet) err() error {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	return dn.firstEr
+// join relays the bootstrap to the worker, which runs it inline (wait) or on
+// its own goroutine.
+func (m *distMember) join(contacts []string, wait bool) error {
+	_, err := m.cmd(distWorkerCmd{Op: "join", Contacts: contacts, Wait: wait})
+	return err
 }
 
-func (dn *distNet) nextIndex() int {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	return len(dn.members)
+func (m *distMember) neighbors() int {
+	resp, _ := m.cmd(distWorkerCmd{Op: "ready"})
+	return resp.Neighbors
 }
 
-// spawn starts one worker at the next join index on its round-robin agent.
-func (dn *distNet) spawn() (*distMember, error) {
-	idx := dn.nextIndex()
-	cfg := dn.sc.Topology.configFor(idx)
+// delivered and blobsDelivered read the collector's buffered sample stream
+// (at most one worker flush interval stale).
+func (m *distMember) delivered(wi int) int      { return m.dn.mon.DeliveredCount(m.id, wi) }
+func (m *distMember) blobsDelivered(wi int) int { return m.dn.mon.BlobDoneCount(m.id, wi) }
+
+// kill SIGKILLs the worker process through its agent, which reaps it.
+func (m *distMember) kill() {
+	_, _ = m.agent.call(m.dn.ctx, distCtrlReq{Op: "kill", Worker: m.worker})
+}
+
+// check implements host: beyond validity, the configuration must survive
+// the process boundary.
+func (dn *distNet) check(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
+	_, err := distConfigOf(cfg)
+	return err
+}
+
+// spawn implements host: start one worker on its round-robin agent.
+func (dn *distNet) spawn(idx int, cfg Config) (*distMember, error) {
 	dc, err := distConfigOf(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return dn.spawnWith(idx, dc)
-}
-
-// spawnWith starts one worker with an already-lowered configuration.
-func (dn *distNet) spawnWith(idx int, dc DistConfig) (*distMember, error) {
 	a := dn.agents[idx%len(dn.agents)]
-	spec := DistWorkerSpec{
+	resp, err := a.call(dn.ctx, distCtrlReq{Op: "spawn", Spec: &DistWorkerSpec{
 		Agent:         a.addr,
 		Index:         idx,
 		Monitor:       dn.mon.Addr(),
@@ -406,11 +141,7 @@ func (dn *distNet) spawnWith(idx int, dc DistConfig) (*distMember, error) {
 		Workloads:     dn.sc.Workloads,
 		BlobWorkloads: dn.sc.BlobWorkloads,
 		Probes:        dn.sc.Probes,
-	}
-	resp, err := a.call(dn.ctx, distCtrlReq{Op: "spawn", Spec: &spec})
-	if err == nil && !resp.OK {
-		err = fmt.Errorf("agent %s: %s", a.addr, resp.Err)
-	}
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -418,50 +149,79 @@ func (dn *distNet) spawnWith(idx int, dc DistConfig) (*distMember, error) {
 	if err != nil {
 		return nil, fmt.Errorf("agent %s: worker node id %q: %w", a.addr, resp.Node, err)
 	}
-	m := &distMember{index: idx, agent: a, worker: resp.Worker, addr: resp.Addr, id: id, alive: true}
-	dn.mu.Lock()
-	dn.members = append(dn.members, m)
-	dn.mu.Unlock()
-	return m, nil
+	return &distMember{dn: dn, agent: a, worker: resp.Worker, addr: resp.Addr, id: id}, nil
 }
 
-// aliveMembers snapshots the currently alive members in creation order.
-func (dn *distNet) aliveMembers() []*distMember {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	out := make([]*distMember, 0, len(dn.members))
-	for _, m := range dn.members {
-		if m.alive {
-			out = append(out, m)
+// bringUp starts the monitor collector, dials the agents, spawns the
+// initial workers, waits for their monitor connections and bootstraps them.
+func (dn *distNet) bringUp(ctx context.Context, col *collector) error {
+	dn.col = col
+	rt := dn.rt
+	if len(rt.Agents) == 0 {
+		return fmt.Errorf("DistRuntime needs at least one agent address")
+	}
+	monAddr := rt.Monitor
+	if monAddr == "" {
+		monAddr = "127.0.0.1:0"
+	}
+	var err error
+	if dn.mon, err = monitor.NewCollector(monAddr); err != nil {
+		return err
+	}
+	dialTimeout := rt.DialTimeout
+	if dialTimeout == 0 {
+		dialTimeout = 5 * time.Second
+	}
+	for _, addr := range rt.Agents {
+		a, err := dialAgent(addr, dialTimeout)
+		if err != nil {
+			return err
 		}
+		dn.agents = append(dn.agents, a)
+	}
+	if err := dn.spawnInitial(ctx); err != nil {
+		return err
+	}
+	if err := dn.mon.WaitFor(ctx, dn.aliveIDs(), distFlushTimeout); err != nil {
+		return err
+	}
+	return dn.connect(ctx)
+}
+
+// aliveIDs projects the alive members onto their node ids.
+func (dn *distNet) aliveIDs() []NodeID {
+	ms := dn.alive()
+	out := make([]NodeID, len(ms))
+	for i, m := range ms {
+		out[i] = m.id
 	}
 	return out
 }
 
-// awaitReady polls until every alive worker holds at least one active
-// neighbor, bounded by the given budget.
-func (dn *distNet) awaitReady(ctx context.Context, bound time.Duration) error {
-	deadline := time.Now().Add(bound)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
+// markStart takes the traffic baseline behind a flush barrier — every
+// node's precise counters at dissemination start; bytes before it are the
+// stabilization phase — and starts the clock.
+func (dn *distNet) markStart(ctx context.Context) error {
+	if dn.sc.probed(ProbeTraffic) {
+		if err := dn.flushBarrier(ctx); err != nil {
+			return fmt.Errorf("baseline: %w", err)
 		}
-		ready := true
-		for _, m := range dn.aliveMembers() {
-			resp, err := m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "ready"})
-			if err != nil || !resp.OK || resp.Neighbors == 0 {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("overlay not connected within %v", bound)
-		}
-		time.Sleep(livePoll)
+		dn.mon.MarkTrafficBase(dn.aliveIDs())
 	}
+	dn.t0 = time.Now()
+	return nil
+}
+
+// publish dispatches through the source's agent. The worker records the
+// publish instant on its own clock and streams it to the collector.
+func (dn *distNet) publish(wi, _ int) error {
+	_, err := dn.slots[dn.sc.Workloads[wi].Source].m.cmd(distWorkerCmd{Op: "publish", WI: wi})
+	return err
+}
+
+func (dn *distNet) publishBlob(wi, i int) error {
+	_, err := dn.slots[dn.sc.BlobWorkloads[wi].Source].m.cmd(distWorkerCmd{Op: "publishblob", WI: wi, Index: i})
+	return err
 }
 
 // flushBarrier runs one flush round: every alive worker drains its buffers
@@ -469,378 +229,139 @@ func (dn *distNet) awaitReady(ctx context.Context, bound time.Duration) error {
 // until it has seen the token from all of them — after which it holds a
 // consistent cut of every node's measurements.
 func (dn *distNet) flushBarrier(ctx context.Context) error {
-	dn.mu.Lock()
 	dn.token++
 	token := dn.token
-	dn.mu.Unlock()
-	members := dn.aliveMembers()
+	members := dn.alive()
 	var wg sync.WaitGroup
 	errs := make([]error, len(members))
 	for i, m := range members {
-		i, m := i, m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "flush", Token: token})
-			if err == nil && !resp.OK {
-				err = fmt.Errorf("%s", resp.Err)
-			}
-			errs[i] = err
+			_, errs[i] = m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "flush", Token: token})
 		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("flush node %d: %w", members[i].index, err)
+			return fmt.Errorf("flush node %v: %w", members[i].id, err)
 		}
 	}
-	return dn.mon.WaitFlush(ctx, token, memberIDs(members), distFlushTimeout)
+	return dn.mon.WaitFlush(ctx, token, dn.aliveIDs(), distFlushTimeout)
 }
 
-// metricsSnapshot reads every alive node's protocol counters behind a flush
-// barrier — the churn brackets. As on the live runtime, counters of nodes
-// that die afterwards are lost with their process.
-func (dn *distNet) metricsSnapshot(ctx context.Context) (map[NodeID]monitor.NodeMetrics, error) {
+// metrics reads every alive node's protocol counters behind a flush
+// barrier. As on the live runtime, counters of nodes that die afterwards
+// are lost with their process.
+func (dn *distNet) metrics(ctx context.Context) (map[NodeID]Metrics, error) {
 	if err := dn.flushBarrier(ctx); err != nil {
 		return nil, err
 	}
-	alive := dn.aliveMembers()
-	out := make(map[NodeID]monitor.NodeMetrics, len(alive))
+	out := make(map[NodeID]Metrics)
 	dn.mon.View(func(nodes map[ids.NodeID]*monitor.NodeState, _ map[int]map[uint32]int64, _ map[int]map[uint32]monitor.BlobPublished) {
-		for _, m := range alive {
+		for _, m := range dn.alive() {
 			if ns, ok := nodes[m.id]; ok {
-				out[m.id] = ns.Metrics
+				nm := ns.Metrics
+				out[m.id] = Metrics{
+					ParentsLost: nm.ParentsLost, Orphans: nm.Orphans,
+					SoftRepairs: nm.SoftRepairs, HardRepairs: nm.HardRepairs,
+				}
 			}
 		}
 	})
 	return out, nil
 }
 
-// complete reports whether every alive node delivered every workload in
-// full — the drain's early exit. Counts come from the collector's buffered
-// sample stream (at most one worker flush interval stale).
-func (dn *distNet) complete() bool {
-	members := dn.aliveMembers()
-	for wi, w := range dn.sc.Workloads {
-		for _, m := range members {
-			if dn.mon.DeliveredCount(m.id, wi) < w.Messages {
-				return false
-			}
-		}
+// snapshot passes the final flush barrier — after it the monitor holds every
+// survivor's complete measurement stream and end-of-run state — and replays
+// that stream into the driver's collector: publishes, then each survivor's
+// deliveries through the same published/delivered path an in-process actor
+// takes, so the folds cannot tell the runtimes apart.
+func (dn *distNet) snapshot(ctx context.Context) (*worldSnapshot, error) {
+	if err := dn.flushBarrier(ctx); err != nil {
+		return nil, fmt.Errorf("final flush: %w", err)
 	}
-	for wi, w := range dn.sc.BlobWorkloads {
-		for _, m := range members {
-			if dn.mon.BlobDoneCount(m.id, wi) < w.Blobs {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// shutdown closes the agent control connections; each agent then kills
-// every worker that connection spawned.
-func (dn *distNet) shutdown() {
-	for _, a := range dn.agents {
-		a.close()
-	}
-}
-
-// Fail implements trace.Target: SIGKILL one random unprotected alive worker
-// process through its agent — a real crash, mid-connection.
-func (dn *distNet) Fail() {
-	dn.mu.Lock()
-	var cands []*distMember
-	for _, m := range dn.members {
-		if m.alive && !dn.protect[m.id] {
-			cands = append(cands, m)
-		}
-	}
-	if len(cands) == 0 {
-		dn.mu.Unlock()
-		return
-	}
-	victim := cands[dn.rng.Intn(len(cands))]
-	victim.alive = false
-	dn.mu.Unlock()
-	// The kill response races nothing: the victim is already off the member
-	// list, and the agent reaps the process.
-	_, _ = victim.agent.call(dn.ctx, distCtrlReq{Op: "kill", Worker: victim.worker})
-}
-
-// Join implements trace.Target: spawn a fresh worker process at the next
-// join index and bootstrap it through up to two random alive members. The
-// worker runs the (bounded) bootstrap on its own goroutine so the churn
-// schedule keeps pace.
-func (dn *distNet) Join() {
-	idx := dn.nextIndex()
-	cfg := dn.sc.Topology.configFor(idx)
-	if err := cfg.Validate(); err != nil {
-		// A replay-time invalid PeerConfig is a bug in the caller's
-		// derivation, as on the other runtimes.
-		panic("brisa: churn join: " + err.Error())
-	}
-	dc, err := distConfigOf(cfg)
-	if err != nil {
-		panic("brisa: churn join: " + err.Error())
-	}
-	m, err := dn.spawnWith(idx, dc)
-	if err != nil {
-		// Spawning can fail under load; like a node that dies during
-		// bootstrap, the join is lost.
-		return
-	}
-	dn.mu.Lock()
-	var contacts []string
-	perm := dn.rng.Perm(len(dn.members))
-	for _, i := range perm {
-		c := dn.members[i]
-		if c.alive && c != m {
-			contacts = append(contacts, c.addr)
-			if len(contacts) == 2 {
-				break
-			}
-		}
-	}
-	dn.mu.Unlock()
-	if len(contacts) == 0 {
-		return
-	}
-	// Wait=false: the worker bootstraps asynchronously. A failed join
-	// leaves the node isolated but alive; Connected surfaces it.
-	_, _ = m.agent.workerCmd(dn.ctx, m.worker, distWorkerCmd{Op: "join", Contacts: contacts})
-}
-
-// Size implements trace.Target.
-func (dn *distNet) Size() int { return len(dn.aliveMembers()) }
-
-// Stop implements trace.Target.
-func (dn *distNet) Stop() {}
-
-// ---------------------------------------------------------------- fold
-
-// fold populates the report from the collector's state: the shared
-// collector structs are filled from the monitor stream and folded by the
-// same streamReport/blobStreamReport code paths the other runtimes use.
-// Survivors are ordered by (agent address, node id) — the sorted host/node
-// discipline that keeps float summation order stable for a given
-// measurement set.
-func (dn *distNet) fold(sc Scenario, initial []*distMember, rep *Report, elapsed time.Duration,
-	before, after map[NodeID]monitor.NodeMetrics) {
-	survivors := dn.aliveMembers()
-	sort.SliceStable(survivors, func(i, j int) bool {
-		if survivors[i].agent.addr != survivors[j].agent.addr {
-			return survivors[i].agent.addr < survivors[j].agent.addr
-		}
-		return survivors[i].id < survivors[j].id
-	})
-	col := newCollector(sc)
-	for wi, w := range sc.Workloads {
-		col.setSource(wi, initial[w.Source].id)
-	}
-	for wi, w := range sc.BlobWorkloads {
-		col.setBlobSource(wi, initial[w.Source].id)
-	}
-	wantRepairs := sc.probed(ProbeRepairs)
-
-	type streamPoll struct {
-		snaps []peerSnapshot
-	}
-	type blobPoll struct {
-		src   BlobStats
-		snaps []blobSnap
-	}
-	streamPolls := make([]streamPoll, len(sc.Workloads))
-	blobPolls := make([]blobPoll, len(sc.BlobWorkloads))
-	var tr *TrafficReport
-
+	sc, col := dn.sc, dn.col
+	snap := &worldSnapshot{nodes: sc.Topology.Nodes}
 	dn.mon.View(func(nodes map[ids.NodeID]*monitor.NodeState, pubs map[int]map[uint32]int64, blobs map[int]map[uint32]monitor.BlobPublished) {
 		for wi := range sc.Workloads {
-			ws := col.ws[wi]
-			for seq, at := range pubs[wi] {
-				ws.pubAt[seq] = time.Unix(0, at)
-			}
-			ws.pubs = len(pubs[wi])
-			for _, m := range survivors {
-				ns := nodes[m.id]
-				if ns == nil {
-					continue
-				}
-				st := ns.Streams[wi]
-				if st == nil {
-					st = &monitor.StreamState{}
-				}
-				acc := &nodeAcc{dups: st.Dups}
-				if m.id != ws.source {
-					for _, s := range st.Samples {
-						at := time.Unix(0, s.At)
-						if acc.first.IsZero() {
-							acc.first = at
-						}
-						acc.last = at
-						if int(s.Seq) > ws.w.Warmup {
-							if t0, ok := ws.pubAt[s.Seq]; ok {
-								d := at.Sub(t0).Seconds()
-								acc.record(d)
-								ws.hist.Add(d)
-							}
-						}
-					}
-				}
-				ws.accs[m.id] = acc
-				snap := peerSnapshot{id: m.id}
-				if ss := st.Snap; ss != nil {
-					snap.delivered = ss.Delivered
-					snap.orphan = ss.Orphan
-					snap.parents = ss.Parents
-					snap.depth = int(ss.Depth)
-					snap.depthOK = ss.DepthOK
-					snap.construction = time.Duration(ss.ConstructNanos)
-					snap.constructOK = ss.ConstructOK
-				}
-				streamPolls[wi].snaps = append(streamPolls[wi].snaps, snap)
+			for seq, at := range pubs[wi] { //brisa:orderinvariant keyed inserts and a count
+				col.published(wi, seq, time.Unix(0, at))
 			}
 		}
 		for wi := range sc.BlobWorkloads {
-			bs := col.bws[wi]
-			ids := make([]uint32, 0, len(blobs[wi]))
-			for id := range blobs[wi] {
-				ids = append(ids, id)
+			for id, bp := range blobs[wi] { //brisa:orderinvariant keyed inserts and integer sums
+				col.blobPublished(wi, id, int(bp.Size), bp.Hash)
 			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				bp := blobs[wi][id]
-				bs.hashes[id] = bp.Hash
-				bs.bytes += int64(bp.Size)
+		}
+		for _, m := range dn.alive() {
+			ns := nodes[m.id]
+			if ns == nil {
+				continue
 			}
-			bs.pubs = len(blobs[wi])
-			srcID := bs.source
-			for _, m := range survivors {
-				ns := nodes[m.id]
-				if ns == nil {
+			accs, baccs, hard := col.register(m.id)
+			ms := memberSnapshot{
+				id:      m.id,
+				streams: make([]peerSnapshot, len(sc.Workloads)),
+				blobs:   make([]BlobStats, len(sc.BlobWorkloads)),
+			}
+			for wi := range sc.Workloads {
+				st := ns.Streams[wi]
+				if st == nil {
 					continue
 				}
+				for _, s := range st.Samples {
+					col.delivered(wi, accs[wi], m.id, s.Seq, time.Unix(0, s.At))
+				}
+				accs[wi].dups = st.Dups
+				if ss := st.Snap; ss != nil {
+					ms.streams[wi] = peerSnapshot{
+						delivered: ss.Delivered, orphan: ss.Orphan, parents: ss.Parents,
+						depth: int(ss.Depth), depthOK: ss.DepthOK,
+						construction: time.Duration(ss.ConstructNanos), constructOK: ss.ConstructOK,
+					}
+				}
+			}
+			for wi := range sc.BlobWorkloads {
 				bst := ns.Blobs[wi]
 				if bst == nil {
-					bst = &monitor.BlobState{}
-				}
-				acc := &blobAcc{recs: make(map[uint32]blobRec)}
-				for id, done := range bst.Done {
-					lat := time.Duration(done.LatNanos).Seconds()
-					rec := blobRec{hash: done.Hash, lat: lat}
-					if lat > 0 {
-						rec.mbps = float64(done.Bytes) / (1 << 20) / lat
-					}
-					acc.recs[id] = rec
-				}
-				bs.accs[m.id] = acc
-				var st BlobStats
-				if snap := bst.Snap; snap != nil {
-					st = BlobStats{
-						Published:      snap.Published,
-						Delivered:      snap.Delivered,
-						Dropped:        snap.Dropped,
-						ChunksReceived: snap.ChunksReceived,
-						ChunkDups:      snap.ChunkDups,
-						ChunksPulled:   snap.ChunksPulled,
-						ChunksServed:   snap.ChunksServed,
-						WantsSent:      snap.WantsSent,
-						ChunkBytesSent: snap.ChunkBytesSent,
-					}
-				}
-				if m.id == srcID {
-					blobPolls[wi].src = st
-				}
-				blobPolls[wi].snaps = append(blobPolls[wi].snaps, blobSnap{id: m.id, stats: st})
-			}
-		}
-		if wantRepairs {
-			for _, m := range survivors {
-				ns := nodes[m.id]
-				if ns == nil || len(ns.HardNanos) == 0 {
 					continue
 				}
-				s := &stats.Sample{}
+				for id, done := range bst.Done { //brisa:orderinvariant keyed inserts
+					baccs[wi].recs[id] = newBlobRec(done.Hash, int(done.Bytes), time.Duration(done.LatNanos))
+				}
+				if bs := bst.Snap; bs != nil {
+					ms.blobs[wi] = BlobStats{
+						Published: bs.Published, Delivered: bs.Delivered, Dropped: bs.Dropped,
+						ChunksReceived: bs.ChunksReceived, ChunkDups: bs.ChunkDups, ChunksPulled: bs.ChunksPulled,
+						ChunksServed: bs.ChunksServed, WantsSent: bs.WantsSent, ChunkBytesSent: bs.ChunkBytesSent,
+					}
+				}
+			}
+			if hard != nil {
 				for _, d := range ns.HardNanos {
-					s.AddDuration(time.Duration(d))
+					hard.AddDuration(time.Duration(d))
 				}
-				col.hard[m.id] = s
 			}
-		}
-		if sc.probed(ProbeTraffic) {
-			tr = &TrafficReport{
-				DownRate: &stats.Sample{},
-				UpRate:   &stats.Sample{},
-				Elapsed:  elapsed,
-			}
-			secs := elapsed.Seconds()
-			var stab, diss uint64
-			counted := 0
-			for _, m := range survivors {
-				if dn.protect[m.id] {
-					continue // workload sources, as in the other folds
-				}
-				ns := nodes[m.id]
-				if ns == nil || !ns.HasTraffic {
-					continue
-				}
-				counted++
+			if ns.HasTraffic && sc.probed(ProbeTraffic) {
 				delta := ns.Traffic.Sub(ns.TrafficBase)
-				stab += ns.TrafficBase.BytesOut
-				diss += delta.BytesOut
-				if secs > 0 {
-					tr.DownRate.Add(float64(delta.BytesIn) / 1024 / secs)
-					tr.UpRate.Add(float64(delta.BytesOut) / 1024 / secs)
-				}
+				ms.traffic = &memberTraffic{stab: ns.TrafficBase.BytesOut, up: delta.BytesOut, down: delta.BytesIn}
 			}
-			if counted > 0 {
-				tr.StabMB = float64(stab) / float64(counted) / (1 << 20)
-				tr.DissMB = float64(diss) / float64(counted) / (1 << 20)
-			}
+			snap.survivors = append(snap.survivors, ms)
 		}
 	})
-
-	for wi := range sc.Workloads {
-		rep.Streams = append(rep.Streams, col.streamReport(wi, streamPolls[wi].snaps))
-	}
-	for wi := range sc.BlobWorkloads {
-		rep.Blobs = append(rep.Blobs, col.blobStreamReport(wi, blobPolls[wi].src, blobPolls[wi].snaps))
-	}
-	if tr != nil {
-		rep.Traffic = tr
-	}
-	if sc.Churn != nil && wantRepairs {
-		window, _ := sc.Churn.window()
-		rep.Churn = distChurnReport(col, window, elapsed, before, after)
-	}
+	return snap, nil
 }
 
-// distChurnReport folds the bracketing metric snapshots into the shared
-// ChurnReport shape, summing per-node deltas in sorted node order.
-func distChurnReport(col *collector, window, elapsed time.Duration, before, after map[NodeID]monitor.NodeMetrics) *ChurnReport {
-	minutes := window.Minutes()
-	if minutes <= 0 {
-		minutes = elapsed.Minutes()
+// close drops the agent control connections — each agent then kills every
+// worker that connection spawned — and stops the monitor collector.
+func (dn *distNet) close() {
+	for _, a := range dn.agents {
+		a.conn.Close()
 	}
-	cr := &ChurnReport{Window: window, HardDelays: col.hardRepairDelays()}
-	var lost, orphans, soft, hardN float64
-	for _, id := range sortedKeys(after) {
-		a := after[id]
-		b := before[id] // zero for nodes spawned after the bracket opened
-		lost += float64(a.ParentsLost - b.ParentsLost)
-		orphans += float64(a.Orphans - b.Orphans)
-		soft += float64(a.SoftRepairs - b.SoftRepairs)
-		hardN += float64(a.HardRepairs - b.HardRepairs)
+	if dn.mon != nil {
+		dn.mon.Close()
 	}
-	if minutes > 0 {
-		cr.ParentsLostPerMin = lost / minutes
-		cr.OrphansPerMin = orphans / minutes
-	}
-	if soft+hardN > 0 {
-		cr.SoftPct = 100 * soft / (soft + hardN)
-		cr.HardPct = 100 * hardN / (soft + hardN)
-	}
-	return cr
 }
 
 // ---------------------------------------------------------------- agents
@@ -919,7 +440,8 @@ func (a *agentConn) readLoop() {
 	}
 }
 
-// call sends one request and waits for its response.
+// call sends one request and waits for its response; a response the agent
+// marked failed comes back as an error.
 func (a *agentConn) call(ctx context.Context, req distCtrlReq) (distCtrlResp, error) {
 	ch := make(chan distCtrlResp, 1)
 	a.mu.Lock()
@@ -949,8 +471,8 @@ func (a *agentConn) call(ctx context.Context, req distCtrlReq) (distCtrlResp, er
 	}
 	select {
 	case resp := <-ch:
-		if resp.Err != "" && !resp.OK {
-			return resp, nil // protocol-level error, caller inspects
+		if !resp.OK {
+			return resp, fmt.Errorf("agent %s: %s", a.addr, resp.Err)
 		}
 		return resp, nil
 	case <-ctx.Done():
@@ -972,16 +494,12 @@ func (a *agentConn) workerCmd(ctx context.Context, worker int, cmd distWorkerCmd
 	if err != nil {
 		return distWorkerResp{}, err
 	}
-	if !resp.OK {
-		return distWorkerResp{}, fmt.Errorf("agent %s: %s", a.addr, resp.Err)
-	}
 	var wr distWorkerResp
 	if err := json.Unmarshal(resp.Resp, &wr); err != nil {
 		return distWorkerResp{}, fmt.Errorf("agent %s: bad worker response: %w", a.addr, err)
 	}
+	if !wr.OK {
+		return wr, fmt.Errorf("worker %d: %s", worker, wr.Err)
+	}
 	return wr, nil
-}
-
-func (a *agentConn) close() {
-	a.conn.Close()
 }

@@ -2,621 +2,172 @@ package brisa
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/livenet"
-	"repro/internal/stats"
-	"repro/internal/trace"
 )
-
-// RunLive executes a scenario on live loopback TCP nodes.
-//
-// Deprecated: use Run(ctx, LiveRuntime{}, sc) — the unified entrypoint,
-// which adds context cancellation and run metadata. This wrapper yields the
-// same Report.
-func RunLive(sc Scenario) (*Report, error) {
-	return Run(context.Background(), LiveRuntime{}, sc)
-}
 
 // liveStabilize bounds the post-join readiness poll when the topology does
 // not set StabilizeTime: loopback overlays connect in milliseconds, loaded
 // CI machines get generous headroom.
 const liveStabilize = 10 * time.Second
 
-// livePoll paces the live runtime's state polls (readiness, drain).
-const livePoll = 20 * time.Millisecond
-
-// Run executes the scenario on live TCP nodes: bind one node per topology
-// slot (per-peer configs derived by join index), bootstrap with a readiness
-// poll, inject workloads in wall time, replay the churn script against real
-// sockets, and collect probes — the livenet wire tap backing ProbeTraffic —
-// into a Report of the same shape the simulator produces. Prefer the
-// package-level Run, which applies defaults and stamps run metadata.
+// Run executes the scenario on live TCP nodes bound to rt.Addr: one node
+// per topology slot (per-peer configs derived by join index), workloads
+// injected in wall time, the churn script replayed against real sockets,
+// and the livenet wire tap backing ProbeTraffic — into a Report of the same
+// shape the simulator produces. Prefer the package-level Run, which applies
+// defaults and stamps run metadata.
 func (rt LiveRuntime) Run(ctx context.Context, sc Scenario) (*Report, error) {
 	sc = sc.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return nil, err
+	ln := &liveNet{addr: rt.Addr}
+	if ln.addr == "" {
+		ln.addr = "127.0.0.1:0"
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	addr := rt.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-
-	wallStart := time.Now()
-	ln := &liveNet{
-		sc:      sc,
-		addr:    addr,
-		rng:     rand.New(rand.NewSource(sc.Seed)),
-		protect: make(map[NodeID]bool),
-		col:     newCollector(sc),
-	}
-	defer ln.shutdown()
-	defer ln.col.detach()
-
-	// Bind phase: one node per topology slot, instrumented before any join
-	// so no delivery can be missed.
-	n := sc.Topology.Nodes
-	for i := 0; i < n; i++ {
-		if _, err := ln.spawn(); err != nil {
-			return nil, fmt.Errorf("brisa: live %q: node %d: %w", sc.Name, i, err)
-		}
-	}
-	initial := ln.aliveNodes()
-
-	// Bootstrap: every node joins through the first node plus its
-	// predecessor — two contacts, exercising the multi-contact retry path.
-	// Join blocks until the overlay accepts the node, so no fixed
-	// inter-join sleep is needed.
-	for i := 1; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("brisa: live %q aborted: %w", sc.Name, err)
-		}
-		contacts := []string{initial[0].Addr()}
-		if i > 1 {
-			contacts = append(contacts, initial[i-1].Addr())
-		}
-		if err := initial[i].Join(contacts...); err != nil {
-			return nil, fmt.Errorf("brisa: live %q: node %d: %w", sc.Name, i, err)
-		}
-	}
-	// Readiness: rather than sleeping a fixed settle time, poll until every
-	// node holds an active neighbor, bounded by StabilizeTime.
-	if n > 1 {
-		settle := sc.Topology.StabilizeTime
-		if settle == 0 {
-			settle = liveStabilize
-		}
-		if err := ln.awaitReady(ctx, settle); err != nil {
-			return nil, fmt.Errorf("brisa: live %q: %w", sc.Name, err)
-		}
-	}
-
-	for wi, w := range sc.Workloads {
-		src := initial[w.Source]
-		ln.col.setSource(wi, src.ID())
-		ln.protect[src.ID()] = true
-	}
-	for wi, w := range sc.BlobWorkloads {
-		src := initial[w.Source]
-		ln.col.setBlobSource(wi, src.ID())
-		ln.protect[src.ID()] = true
-	}
-
-	t0 := time.Now()
-	if sc.probed(ProbeTraffic) {
-		ln.baseline()
-	}
-
-	// Churn: replay the script's directives in wall time on a dedicated
-	// goroutine, bracketed by metric snapshots for ProbeRepairs.
-	var churnDone chan struct{}
-	var before, after map[*liveMember]Metrics
-	if sc.Churn != nil {
-		// Parse errors were caught by Validate; a failure here is a bug.
-		parsed, err := trace.Parse(sc.Churn.Script)
-		if err != nil {
-			panic("brisa: churn script: " + err.Error())
-		}
-		sched := &churnSchedule{}
-		parsed.Replay(sched, ln)
-		sort.SliceStable(sched.events, func(i, j int) bool {
-			return sched.events[i].at < sched.events[j].at
-		})
-		window, _ := sc.Churn.window()
-		anchor := t0.Add(sc.Churn.Start)
-		churnDone = make(chan struct{})
-		go func() {
-			defer close(churnDone)
-			if !sleepUntil(ctx, anchor) {
-				return
-			}
-			before = ln.metricsSnapshot()
-			for _, ev := range sched.events {
-				if !sleepUntil(ctx, anchor.Add(ev.at)) {
-					return
-				}
-				ev.fn()
-			}
-			if !sleepUntil(ctx, anchor.Add(window)) {
-				return
-			}
-			after = ln.metricsSnapshot()
-		}()
-	}
-
-	// Workload injection: one goroutine per stream, paced in wall time.
-	// Sequence numbers are recorded before each publish so a delivery
-	// racing in on another node's actor finds the timestamp.
-	var wg sync.WaitGroup
-	for wi, w := range sc.Workloads {
-		wi, w := wi, w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !sleepFor(ctx, w.Start) {
-				return
-			}
-			src := initial[w.Source]
-			for i := 0; i < w.Messages; i++ {
-				col := ln.col
-				col.published(wi, uint32(i+1), time.Now())
-				src.Publish(w.Stream, make([]byte, w.Payload))
-				if i < w.Messages-1 && !sleepFor(ctx, w.Interval) {
-					return
-				}
-			}
-		}()
-	}
-	for wi, w := range sc.BlobWorkloads {
-		wi, w := wi, w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !sleepFor(ctx, w.Start) {
-				return
-			}
-			src := initial[w.Source]
-			prm := w.params()
-			for i := 0; i < w.Blobs; i++ {
-				data := blobPayload(w.Stream, i, w.Size)
-				var id uint32
-				var err error
-				src.Do(func(p *Peer) { id, err = p.brisa.PublishBlob(w.Stream, data, prm) })
-				if err != nil {
-					// Geometry was caught by Validate; a failure here is a bug.
-					panic("brisa: blob publish: " + err.Error())
-				}
-				// Recording after the call is safe: hash verification runs
-				// at fold time, after every injection goroutine joined.
-				ln.col.blobPublished(wi, id, len(data), blobHash(data))
-				if i < w.Blobs-1 && !sleepFor(ctx, w.Interval) {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if churnDone != nil {
-		<-churnDone
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("brisa: live %q aborted: %w", sc.Name, err)
-	}
-
-	// Drain: poll until every surviving node delivered every stream in
-	// full, bounded by the scenario's drain budget. Under churn the budget
-	// usually runs out instead: churned-in nodes cannot hold the full
-	// history, and repairs need the time anyway.
-	deadline := time.Now().Add(sc.Drain)
-	for time.Now().Before(deadline) && ctx.Err() == nil {
-		if ln.complete() {
-			break
-		}
-		time.Sleep(livePoll)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("brisa: live %q aborted: %w", sc.Name, err)
-	}
-	elapsed := time.Since(t0)
-
-	// Collection, mirroring the simulator's report fold. Detach the
-	// collector first: its per-node accumulators are written lock-free on
-	// each node's actor, so no listener may start once folding begins.
-	// After detach (an atomic listener-snapshot swap) no new callback can
-	// fire, and the per-actor snapshot Do()s below order every callback
-	// that already ran before the fold that reads its accumulator.
-	ln.col.detach()
-	survivors := ln.aliveMembers()
-	rep := &Report{
-		Name:    sc.Name,
-		Runtime: LiveRuntime{}.Name(),
-		Nodes:   n,
-		Alive:   len(survivors),
-		Elapsed: elapsed,
-	}
-	for wi, w := range sc.Workloads {
-		snaps := make([]peerSnapshot, 0, len(survivors))
-		for _, m := range survivors {
-			var snap peerSnapshot
-			m.node.Do(func(p *Peer) { snap = snapshotPeer(p, w.Stream) })
-			snaps = append(snaps, snap)
-		}
-		rep.Streams = append(rep.Streams, ln.col.streamReport(wi, snaps))
-	}
-	for wi, w := range sc.BlobWorkloads {
-		var srcStats BlobStats
-		initial[w.Source].Do(func(p *Peer) { srcStats = p.BlobStats(w.Stream) })
-		snaps := make([]blobSnap, 0, len(survivors))
-		for _, m := range survivors {
-			var s BlobStats
-			m.node.Do(func(p *Peer) { s = p.BlobStats(w.Stream) })
-			snaps = append(snaps, blobSnap{id: m.node.ID(), stats: s})
-		}
-		rep.Blobs = append(rep.Blobs, ln.col.blobStreamReport(wi, srcStats, snaps))
-	}
-
-	if sc.probed(ProbeTraffic) {
-		rep.Traffic = ln.trafficReport(survivors, elapsed)
-	}
-
-	if sc.Churn != nil && sc.probed(ProbeRepairs) {
-		window, _ := sc.Churn.window()
-		rep.Churn = ln.churnReport(window, elapsed, before, after)
-	}
-
-	rep.Wall = time.Since(wallStart)
-	return rep, nil
+	ln.overlay = newOverlay[*liveMember](sc, ln, liveStabilize)
+	return runScenario(ctx, ln, sc)
 }
 
-// liveNet is the live runtime's node set: creation-ordered members, their
-// liveness, and the churn plumbing. Spawns are serialized (bind phase, then
-// the single churn goroutine), but kills, polls, and collection race them
-// from other goroutines, so all membership state is guarded.
+// liveNet is the live runtime's world: an overlay of loopback Nodes.
 type liveNet struct {
-	sc   Scenario
-	addr string
-
-	mu      sync.Mutex
-	rng     *rand.Rand
-	members []*liveMember
-	protect map[NodeID]bool
-	col     *collector
-	joins   sync.WaitGroup // in-flight churn-join bootstraps
+	overlay[*liveMember]
+	addr  string
+	col   *collector
+	joins sync.WaitGroup // in-flight churn-join bootstraps
 }
 
-// liveMember is one node slot: members keep their slot (and index) after
-// death, like the simulator's crashed peers.
+// liveMember is one loopback node.
 type liveMember struct {
-	index int
-	node  *Node
-	alive bool
-	// base is the node's wire-traffic snapshot at dissemination start
-	// (zero for churn joiners, which bind mid-run).
+	ln   *liveNet
+	node *Node
+	// base is the node's wire-traffic snapshot at markStart (zero for churn
+	// joiners, which bind mid-run).
 	base livenet.Traffic
 }
 
-// nextIndex returns the join index the next spawn will occupy. Spawns are
-// serialized (bind phase, then the single churn goroutine), so the index
-// stays valid until that spawn.
-func (ln *liveNet) nextIndex() int {
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	return len(ln.members)
+func (m *liveMember) nodeID() NodeID  { return m.node.ID() }
+func (m *liveMember) address() string { return m.node.Addr() }
+func (m *liveMember) neighbors() int  { return len(m.node.Neighbors()) }
+func (m *liveMember) kill()           { m.node.Close() }
+
+func (m *liveMember) delivered(wi int) int {
+	return int(m.node.DeliveredCount(m.ln.sc.Workloads[wi].Stream))
 }
 
-// spawn binds one fresh node at the next join index. An invalid derived
-// configuration surfaces as an error (Listen validates), matching the
-// simulator's NewCluster. The derivation runs exactly once per node, as on
-// the simulator.
-func (ln *liveNet) spawn() (*liveMember, error) {
-	idx := ln.nextIndex()
-	return ln.spawnWith(idx, ln.sc.Topology.configFor(idx))
+func (m *liveMember) blobsDelivered(wi int) int {
+	return int(m.node.BlobsDelivered(m.ln.sc.BlobWorkloads[wi].Stream))
 }
 
-// spawnWith binds one fresh node with an already-derived configuration.
-func (ln *liveNet) spawnWith(idx int, cfg Config) (*liveMember, error) {
+func (m *liveMember) join(contacts []string, wait bool) error {
+	if wait {
+		return m.node.Join(contacts...)
+	}
+	m.ln.joins.Add(1)
+	go func() {
+		defer m.ln.joins.Done()
+		_ = m.node.Join(contacts...) // bounded; close() ends it early
+	}()
+	return nil
+}
+
+// check implements host.
+func (ln *liveNet) check(cfg Config) error { return cfg.Validate() }
+
+// spawn implements host: bind one fresh node and instrument it before it
+// can join anything.
+func (ln *liveNet) spawn(_ int, cfg Config) (*liveMember, error) {
 	node, err := Listen(ln.addr, cfg)
 	if err != nil {
 		return nil, err
 	}
-	m := &liveMember{index: idx, node: node, alive: true}
-	ln.mu.Lock()
-	ln.members = append(ln.members, m)
-	ln.mu.Unlock()
 	ln.col.instrument(node.peer)
-	return m, nil
+	return &liveMember{ln: ln, node: node}, nil
 }
 
-// aliveMembers snapshots the currently alive members in creation order.
-func (ln *liveNet) aliveMembers() []*liveMember {
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	out := make([]*liveMember, 0, len(ln.members))
-	for _, m := range ln.members {
-		if m.alive {
-			out = append(out, m)
-		}
+func (ln *liveNet) bringUp(ctx context.Context, col *collector) error {
+	ln.col = col
+	if err := ln.spawnInitial(ctx); err != nil {
+		return err
 	}
-	return out
+	return ln.connect(ctx)
 }
 
-// aliveNodes is aliveMembers projected onto the nodes.
-func (ln *liveNet) aliveNodes() []*Node {
-	ms := ln.aliveMembers()
-	out := make([]*Node, len(ms))
-	for i, m := range ms {
-		out[i] = m.node
+// markStart snapshots every node's wire counters — bytes before it are the
+// stabilization phase — and starts the clock.
+func (ln *liveNet) markStart(context.Context) error {
+	for _, m := range ln.alive() {
+		m.base = m.node.Traffic()
 	}
-	return out
+	ln.t0 = time.Now()
+	return nil
 }
 
-// awaitReady polls until every alive node holds at least one active
-// neighbor — the overlay accepted everyone — bounded by the given budget.
-func (ln *liveNet) awaitReady(ctx context.Context, bound time.Duration) error {
-	deadline := time.Now().Add(bound)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
+// publish records the sequence number before injecting, so a delivery racing
+// in on another node's actor finds the timestamp.
+func (ln *liveNet) publish(wi, i int) error {
+	wl := ln.sc.Workloads[wi]
+	ln.col.published(wi, uint32(i+1), time.Now())
+	ln.slots[wl.Source].m.node.Publish(wl.Stream, make([]byte, wl.Payload))
+	return nil
+}
+
+func (ln *liveNet) publishBlob(wi, i int) error {
+	wl := ln.sc.BlobWorkloads[wi]
+	data := blobPayload(wl.Stream, i, wl.Size)
+	var id uint32
+	var err error
+	ln.slots[wl.Source].m.node.Do(func(p *Peer) { id, err = p.brisa.PublishBlob(wl.Stream, data, wl.params()) })
+	if err != nil {
+		return err
+	}
+	// Recording after the call is safe: hash verification runs at fold time.
+	ln.col.blobPublished(wi, id, len(data), blobHash(data))
+	return nil
+}
+
+// metrics reads every alive node's protocol counters. Unlike the simulator,
+// counters of nodes that die afterwards are lost with their process — the
+// same data loss a real deployment has.
+func (ln *liveNet) metrics(context.Context) (map[NodeID]Metrics, error) {
+	out := make(map[NodeID]Metrics)
+	for _, m := range ln.alive() {
+		out[m.node.ID()] = m.node.Metrics()
+	}
+	return out, nil
+}
+
+func (ln *liveNet) snapshot(context.Context) (*worldSnapshot, error) {
+	sc := ln.sc
+	snap := &worldSnapshot{nodes: sc.Topology.Nodes}
+	for _, m := range ln.alive() {
+		ms := memberSnapshot{
+			id:      m.node.ID(),
+			streams: make([]peerSnapshot, len(sc.Workloads)),
+			blobs:   make([]BlobStats, len(sc.BlobWorkloads)),
 		}
-		ready := true
-		for _, node := range ln.aliveNodes() {
-			if len(node.Neighbors()) == 0 {
-				ready = false
-				break
+		m.node.Do(func(p *Peer) {
+			for wi, wl := range sc.Workloads {
+				ms.streams[wi] = snapshotPeer(p, wl.Stream)
 			}
+			for wi, wl := range sc.BlobWorkloads {
+				ms.blobs[wi] = p.BlobStats(wl.Stream)
+			}
+		})
+		if sc.probed(ProbeTraffic) {
+			delta := m.node.Traffic().Sub(m.base)
+			ms.traffic = &memberTraffic{stab: m.base.BytesOut, up: delta.BytesOut, down: delta.BytesIn}
 		}
-		if ready {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("overlay not connected within %v", bound)
-		}
-		time.Sleep(livePoll)
+		snap.survivors = append(snap.survivors, ms)
 	}
+	return snap, nil
 }
 
-// baseline snapshots every alive node's wire counters at dissemination
-// start: bytes before it are the stabilization phase.
-func (ln *liveNet) baseline() {
-	for _, m := range ln.aliveMembers() {
-		t := m.node.Traffic()
-		ln.mu.Lock()
-		m.base = t
-		ln.mu.Unlock()
-	}
-}
-
-// complete reports whether every surviving initial node delivered every
-// workload in full — the drain's early exit. Churned-in nodes are excluded:
-// they missed the sequences published before they existed and can never
-// catch up, so waiting on them would always burn the whole drain budget.
-func (ln *liveNet) complete() bool {
-	members := ln.aliveMembers()
-	for _, w := range ln.sc.Workloads {
-		for _, m := range members {
-			if m.index >= ln.sc.Topology.Nodes {
-				continue
-			}
-			if m.node.DeliveredCount(w.Stream) != uint64(w.Messages) {
-				return false
-			}
-		}
-	}
-	for _, w := range ln.sc.BlobWorkloads {
-		for _, m := range members {
-			if m.index >= ln.sc.Topology.Nodes {
-				continue
-			}
-			if m.node.BlobsDelivered(w.Stream) != uint64(w.Blobs) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// metricsSnapshot reads every alive member's protocol counters. Unlike the
-// simulator, counters of nodes that die afterwards are lost with their
-// process — the same data loss a real deployment has.
-func (ln *liveNet) metricsSnapshot() map[*liveMember]Metrics {
-	out := make(map[*liveMember]Metrics)
-	for _, m := range ln.aliveMembers() {
-		out[m] = m.node.Metrics()
-	}
-	return out
-}
-
-// shutdown closes every node ever created and waits for in-flight churn
-// joins to observe the closes.
-func (ln *liveNet) shutdown() {
-	ln.mu.Lock()
-	members := append([]*liveMember(nil), ln.members...)
-	ln.mu.Unlock()
-	for _, m := range members {
-		m.node.Close()
+// close shuts every node ever created and waits for in-flight churn joins
+// to observe the closes.
+func (ln *liveNet) close() {
+	for _, s := range ln.slots {
+		s.m.node.Close()
 	}
 	ln.joins.Wait()
-}
-
-// trafficReport folds the wire-tap deltas into the simulator-shaped
-// TrafficReport: per-node rates over the dissemination window, averages
-// split into stabilization (before dissemination start) and dissemination
-// phases, workload sources excluded.
-func (ln *liveNet) trafficReport(survivors []*liveMember, elapsed time.Duration) *TrafficReport {
-	tr := &TrafficReport{
-		DownRate: &stats.Sample{},
-		UpRate:   &stats.Sample{},
-		Elapsed:  elapsed,
-	}
-	secs := elapsed.Seconds()
-	var stab, diss uint64
-	counted := 0
-	for _, m := range survivors {
-		if ln.protect[m.node.ID()] {
-			continue // workload sources, as in the simulator's fold
-		}
-		counted++
-		ln.mu.Lock()
-		base := m.base
-		ln.mu.Unlock()
-		cur := m.node.Traffic()
-		delta := cur.Sub(base)
-		stab += base.BytesOut
-		diss += delta.BytesOut
-		if secs > 0 {
-			tr.DownRate.Add(float64(delta.BytesIn) / 1024 / secs)
-			tr.UpRate.Add(float64(delta.BytesOut) / 1024 / secs)
-		}
-	}
-	if counted > 0 {
-		tr.StabMB = float64(stab) / float64(counted) / (1 << 20)
-		tr.DissMB = float64(diss) / float64(counted) / (1 << 20)
-	}
-	return tr
-}
-
-// churnReport folds the bracketing metric snapshots into the
-// simulator-shaped ChurnReport. Deltas are summed per member so nodes that
-// churned in mid-window count from zero and dead members drop out.
-func (ln *liveNet) churnReport(window, elapsed time.Duration, before, after map[*liveMember]Metrics) *ChurnReport {
-	minutes := window.Minutes()
-	if minutes <= 0 {
-		minutes = elapsed.Minutes()
-	}
-	cr := &ChurnReport{Window: window, HardDelays: ln.col.hardRepairDelays()}
-	var lost, orphans, soft, hardN float64
-	for m, a := range after {
-		b := before[m] // zero for members created after the bracket opened
-		lost += float64(a.ParentsLost - b.ParentsLost)
-		orphans += float64(a.Orphans - b.Orphans)
-		soft += float64(a.SoftRepairs - b.SoftRepairs)
-		hardN += float64(a.HardRepairs - b.HardRepairs)
-	}
-	if minutes > 0 {
-		cr.ParentsLostPerMin = lost / minutes
-		cr.OrphansPerMin = orphans / minutes
-	}
-	if soft+hardN > 0 {
-		cr.SoftPct = 100 * soft / (soft + hardN)
-		cr.HardPct = 100 * hardN / (soft + hardN)
-	}
-	return cr
-}
-
-// ---------------------------------------------------------------- churn
-
-// churnSchedule collects the trace replayer's directives so the live
-// runtime can execute them, sorted, on one goroutine in wall time.
-type churnSchedule struct {
-	events []churnEvent
-}
-
-type churnEvent struct {
-	at time.Duration
-	fn func()
-}
-
-// At implements trace.Scheduler.
-func (s *churnSchedule) At(offset time.Duration, fn func()) {
-	s.events = append(s.events, churnEvent{at: offset, fn: fn})
-}
-
-// Fail implements trace.Target: close one random unprotected alive node —
-// a real crash, mid-connection.
-func (ln *liveNet) Fail() {
-	ln.mu.Lock()
-	var cands []*liveMember
-	for _, m := range ln.members {
-		if m.alive && !ln.protect[m.node.ID()] {
-			cands = append(cands, m)
-		}
-	}
-	if len(cands) == 0 {
-		ln.mu.Unlock()
-		return
-	}
-	victim := cands[ln.rng.Intn(len(cands))]
-	victim.alive = false
-	ln.mu.Unlock()
-	victim.node.Close()
-}
-
-// Join implements trace.Target: bind a fresh node at the next join index
-// and bootstrap it through up to two random alive members. The (bounded)
-// bootstrap wait runs on its own goroutine so the churn schedule keeps
-// pace.
-func (ln *liveNet) Join() {
-	idx := ln.nextIndex()
-	cfg := ln.sc.Topology.configFor(idx)
-	if err := cfg.Validate(); err != nil {
-		// A replay-time invalid PeerConfig is a bug in the caller's
-		// derivation, as on the simulator: silently skipping the join would
-		// shrink the population the script specifies.
-		panic("brisa: churn join: " + err.Error())
-	}
-	m, err := ln.spawnWith(idx, cfg)
-	if err != nil {
-		// Binding can fail under fd pressure; like a node that dies during
-		// bootstrap, the join is lost.
-		return
-	}
-	ln.mu.Lock()
-	var contacts []string
-	perm := ln.rng.Perm(len(ln.members))
-	for _, i := range perm {
-		c := ln.members[i]
-		if c.alive && c != m {
-			contacts = append(contacts, c.node.Addr())
-			if len(contacts) == 2 {
-				break
-			}
-		}
-	}
-	ln.mu.Unlock()
-	if len(contacts) == 0 {
-		return
-	}
-	ln.joins.Add(1)
-	go func() {
-		defer ln.joins.Done()
-		// A failed join leaves the node isolated but alive, like a real
-		// bootstrap loss; the report's Connected metric surfaces it.
-		_ = m.node.Join(contacts...)
-	}()
-}
-
-// Size implements trace.Target.
-func (ln *liveNet) Size() int { return len(ln.aliveMembers()) }
-
-// Stop implements trace.Target.
-func (ln *liveNet) Stop() {}
-
-// ---------------------------------------------------------------- sleeps
-
-// sleepFor waits d, returning false early when the context is cancelled.
-func sleepFor(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// sleepUntil waits for a wall-clock instant, returning false early when the
-// context is cancelled.
-func sleepUntil(ctx context.Context, at time.Time) bool {
-	return sleepFor(ctx, time.Until(at))
 }

@@ -8,22 +8,23 @@ import (
 	"strings"
 )
 
-// Runtime executes Scenarios. The two built-in implementations are
-// SimRuntime (the deterministic discrete-event simulator) and LiveRuntime
-// (loopback TCP nodes); both run any valid Scenario — churn scripts,
-// traffic probes, and per-peer configurations included — into a Report of
+// Runtime executes Scenarios. The three built-in implementations are
+// SimRuntime (the deterministic discrete-event simulator), LiveRuntime
+// (loopback TCP nodes) and DistRuntime (peer processes across hosts); all
+// run any valid Scenario — churn scripts, traffic probes, and per-peer
+// configurations included — through one shared driver into a Report of
 // identical shape, so results compare directly across runtimes.
 //
 // Call the package-level Run rather than the interface method: Run applies
 // the scenario's documented defaults, threads the context, and stamps the
 // Report's run metadata.
 type Runtime interface {
-	// Name labels Reports ("sim", "live") and keys the registry.
+	// Name labels Reports ("sim", "live", "dist") and keys the registry.
 	Name() string
 	// Run executes the scenario. Implementations validate the scenario
 	// (after any runtime-specific normalization, e.g. adopting an existing
-	// cluster's dimensions) and honor context cancellation in workload
-	// generators, churn loops, and probe drains.
+	// cluster's dimensions) and honor context cancellation in publishes,
+	// churn directives, and the drain.
 	Run(ctx context.Context, sc Scenario) (*Report, error)
 }
 
@@ -33,8 +34,8 @@ type Runtime interface {
 //
 // It applies the scenario's defaults, executes it on rt, and stamps the
 // Report with run metadata (runtime name, Go version). Cancelling ctx
-// aborts the run — workload generators, churn loops, and probe drains all
-// observe it — and Run returns the context's error.
+// aborts the run — publishes, churn directives, and the drain all observe
+// it — and Run returns the context's error.
 func Run(ctx context.Context, rt Runtime, sc Scenario) (*Report, error) {
 	if rt == nil {
 		return nil, fmt.Errorf("brisa: Run needs a Runtime (try SimRuntime{} or LiveRuntime{})")
@@ -65,7 +66,7 @@ func Run(ctx context.Context, rt Runtime, sc Scenario) (*Report, error) {
 
 // BlobCapable marks runtimes that execute BlobWorkloads. Run refuses a
 // scenario with blob workloads on a runtime that does not implement it (or
-// that reports false) — both built-in runtimes support blobs.
+// that reports false) — all three built-in runtimes support blobs.
 type BlobCapable interface {
 	// SupportsBlobs reports whether the runtime executes BlobWorkloads.
 	SupportsBlobs() bool

@@ -2,8 +2,7 @@ package brisa_test
 
 // Unified-runtime tests: the single Run(ctx, rt, sc) entrypoint must
 // execute the same Scenario — churn, traffic probes, per-peer configs — on
-// both runtimes, honor cancellation, and keep the deprecated wrappers
-// report-identical.
+// both runtimes and honor cancellation.
 
 import (
 	"context"
@@ -159,71 +158,6 @@ func TestRunTrafficOnBothRuntimes(t *testing.T) {
 	if ratio < 0.1 || ratio > 10 {
 		t.Errorf("live/sim dissemination bytes ratio = %.3f (live %.4f MB, sim %.4f MB), want within an order of magnitude",
 			ratio, reports["live"].Traffic.DissMB, reports["sim"].Traffic.DissMB)
-	}
-}
-
-func TestRunWrapperParitySim(t *testing.T) {
-	t.Parallel()
-	sc := twoByTwo(32, 10)
-	old, err := brisa.RunSim(sc)
-	if err != nil {
-		t.Fatalf("RunSim: %v", err)
-	}
-	unified, err := brisa.Run(context.Background(), brisa.SimRuntime{}, sc)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	// The simulator is deterministic: the deprecated wrapper and the
-	// unified entrypoint must produce the same report for the same seed.
-	if old.Runtime != unified.Runtime || old.Nodes != unified.Nodes || old.Alive != unified.Alive {
-		t.Errorf("header mismatch: old %s/%d/%d, new %s/%d/%d",
-			old.Runtime, old.Nodes, old.Alive, unified.Runtime, unified.Nodes, unified.Alive)
-	}
-	if old.Elapsed != unified.Elapsed {
-		t.Errorf("elapsed mismatch: %v vs %v", old.Elapsed, unified.Elapsed)
-	}
-	if len(old.Streams) != len(unified.Streams) {
-		t.Fatalf("stream count mismatch: %d vs %d", len(old.Streams), len(unified.Streams))
-	}
-	for i := range old.Streams {
-		a, b := old.Streams[i], unified.Streams[i]
-		if a.Published != b.Published || a.Reliability != b.Reliability || a.Source != b.Source {
-			t.Errorf("stream %d mismatch: %+v vs %+v", a.Stream, a, b)
-		}
-		if a.Delays.Len() != b.Delays.Len() || a.Delays.Median() != b.Delays.Median() {
-			t.Errorf("stream %d delay distribution mismatch", a.Stream)
-		}
-	}
-	if unified.GoVersion == "" || old.GoVersion == "" {
-		t.Error("run metadata missing the Go version")
-	}
-}
-
-func TestRunWrapperParityLive(t *testing.T) {
-	sc := brisa.Scenario{
-		Name:     "live parity",
-		Topology: brisa.Topology{Nodes: 4, Peer: brisa.Config{Mode: brisa.ModeTree}},
-		Workloads: []brisa.Workload{
-			{Stream: 1, Messages: 5, Payload: 64, Interval: 20 * time.Millisecond},
-		},
-		Drain: 5 * time.Second,
-	}
-	old, err := brisa.RunLive(sc)
-	if err != nil {
-		t.Fatalf("RunLive: %v", err)
-	}
-	unified, err := brisa.Run(context.Background(), brisa.LiveRuntime{}, sc)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	// Real sockets are not replayable; the wrappers must agree on shape.
-	for _, rep := range []*brisa.Report{old, unified} {
-		if rep.Runtime != "live" || rep.Nodes != 4 || len(rep.Streams) != 1 {
-			t.Errorf("report shape off: runtime=%q nodes=%d streams=%d", rep.Runtime, rep.Nodes, len(rep.Streams))
-		}
-		if rep.Stream(1).Reliability != 1 {
-			t.Errorf("reliability %.3f, want 1.0", rep.Stream(1).Reliability)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package brisa
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -178,9 +177,15 @@ type Churn struct {
 
 // window returns the span covered by the script's directives.
 func (ch Churn) window() (time.Duration, error) {
+	_, end, err := ch.parse()
+	return end, err
+}
+
+// parse returns the parsed script and the span its directives cover.
+func (ch Churn) parse() (*trace.Script, time.Duration, error) {
 	parsed, err := trace.Parse(ch.Script)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	var end time.Duration
 	for _, d := range parsed.Directives {
@@ -191,7 +196,7 @@ func (ch Churn) window() (time.Duration, error) {
 			end = d.At
 		}
 	}
-	return end, nil
+	return parsed, end, nil
 }
 
 // Probe selects a measurement the runner collects into the Report. Cheap
@@ -241,7 +246,7 @@ type Scenario struct {
 	Workloads []Workload
 	// BlobWorkloads are the large-payload streams (see BlobWorkload); they
 	// may run alongside message Workloads, on distinct streams. They
-	// require a blob-capable runtime (both built-in runtimes are).
+	// require a blob-capable runtime (all built-in runtimes are).
 	BlobWorkloads []BlobWorkload
 	// Churn, when set, runs a churn trace during dissemination.
 	Churn *Churn
@@ -410,21 +415,4 @@ func (sc Scenario) end() time.Duration {
 // seed, not yet bootstrapped — the hook for callers that want to inspect or
 // perturb the cluster before running the scenario against it with
 // Run(ctx, SimRuntime{Cluster: c}, sc).
-func (sc Scenario) NewCluster() (*Cluster, error) {
-	sc = sc.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := sc.Topology.clusterConfig(sc.Seed)
-	cfg.Faults = sc.Faults
-	return NewCluster(cfg)
-}
-
-// RunSim executes the scenario on a fresh simulated cluster.
-//
-// Deprecated: use Run(ctx, SimRuntime{}, sc) — the unified entrypoint,
-// which adds context cancellation and run metadata. This wrapper yields the
-// same Report.
-func RunSim(sc Scenario) (*Report, error) {
-	return Run(context.Background(), SimRuntime{}, sc)
-}
+func (sc Scenario) NewCluster() (*Cluster, error) { return SimRuntime{}.NewCluster(sc) }

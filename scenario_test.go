@@ -5,6 +5,7 @@ package brisa_test
 // runtimes.
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -32,12 +33,12 @@ func twoByTwo(nodes, msgs int) brisa.Scenario {
 
 func TestScenarioSimMultiStreamMultiSource(t *testing.T) {
 	t.Parallel()
-	rep, err := brisa.RunSim(twoByTwo(48, 20))
+	rep, err := brisa.Run(context.Background(), brisa.SimRuntime{}, twoByTwo(48, 20))
 	if err != nil {
-		t.Fatalf("RunSim: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if rep.Runtime != "sim" {
-		t.Errorf("runtime = %q, want sim", rep.Runtime)
+	if rep.Runtime != "sim" || rep.GoVersion == "" {
+		t.Errorf("run metadata: runtime = %q (want sim), Go version = %q (want one)", rep.Runtime, rep.GoVersion)
 	}
 	if len(rep.Streams) != 2 {
 		t.Fatalf("want 2 stream reports, got %d", len(rep.Streams))
@@ -86,9 +87,9 @@ func TestScenarioLiveMultiStreamMultiSource(t *testing.T) {
 	sc.Workloads[0].Interval = 20 * time.Millisecond
 	sc.Workloads[1].Interval = 20 * time.Millisecond
 	sc.Drain = 5 * time.Second
-	rep, err := brisa.RunLive(sc)
+	rep, err := brisa.Run(context.Background(), brisa.LiveRuntime{}, sc)
 	if err != nil {
-		t.Fatalf("RunLive: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if rep.Runtime != "live" {
 		t.Errorf("runtime = %q, want live", rep.Runtime)
@@ -119,8 +120,8 @@ func TestScenarioValidation(t *testing.T) {
 		{Topology: brisa.Topology{Nodes: 0}, Workloads: []brisa.Workload{{Stream: 1}}}, // empty topology
 	}
 	for i, sc := range bad {
-		if _, err := brisa.RunSim(sc); err == nil {
-			t.Errorf("case %d: RunSim accepted %+v", i, sc)
+		if _, err := brisa.Run(context.Background(), brisa.SimRuntime{}, sc); err == nil {
+			t.Errorf("case %d: Run accepted %+v", i, sc)
 		}
 	}
 }
@@ -203,7 +204,7 @@ func TestScenarioValidateErrors(t *testing.T) {
 
 func TestScenarioChurnReport(t *testing.T) {
 	t.Parallel()
-	rep, err := brisa.RunSim(brisa.Scenario{
+	rep, err := brisa.Run(context.Background(), brisa.SimRuntime{}, brisa.Scenario{
 		Name: "churn smoke",
 		Seed: 3,
 		Topology: brisa.Topology{
@@ -218,7 +219,7 @@ func TestScenarioChurnReport(t *testing.T) {
 		Drain:  30 * time.Second,
 	})
 	if err != nil {
-		t.Fatalf("RunSim: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if rep.Churn == nil {
 		t.Fatal("no churn report despite ProbeRepairs")
@@ -253,11 +254,11 @@ func TestScenarioClusterReuse(t *testing.T) {
 		Workloads: []brisa.Workload{{Stream: 1, Messages: 10, Payload: 128}},
 		Probes:    []brisa.Probe{brisa.ProbeLatency, brisa.ProbeTraffic},
 	}
-	first, err := c.Run(sc)
+	first, err := brisa.Run(context.Background(), brisa.SimRuntime{Cluster: c}, sc)
 	if err != nil {
 		t.Fatalf("first Run: %v", err)
 	}
-	second, err := c.Run(sc)
+	second, err := brisa.Run(context.Background(), brisa.SimRuntime{Cluster: c}, sc)
 	if err != nil {
 		t.Fatalf("second Run: %v", err)
 	}
@@ -292,7 +293,7 @@ func TestScenarioOnExistingCluster(t *testing.T) {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	c.Bootstrap() // Run must not bootstrap twice
-	rep, err := c.Run(sc)
+	rep, err := brisa.Run(context.Background(), brisa.SimRuntime{Cluster: c}, sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
