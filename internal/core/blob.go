@@ -185,16 +185,20 @@ func (p *Protocol) blobChunkMsg(st *stream, b *blobState, idx int, payload []byt
 // relayChunk forwards one chunk to every outbound-active neighbor except the
 // one it came from.
 func (p *Protocol) relayChunk(st *stream, except ids.NodeID, b *blobState, idx int, payload []byte) {
-	var m wire.Message = p.blobChunkMsg(st, b, idx, payload) // one boxing
+	msg := p.blobChunkMsg(st, b, idx, payload)
+	var m wire.Message // boxed once, on the first recipient (see relay)
 	sent := 0
 	for _, nb := range p.cfg.PSS.Active() {
 		if nb == except || st.outInactive.Has(nb) {
 			continue
 		}
+		if m == nil {
+			m = msg
+		}
 		p.env.Send(nb, m)
 		sent++
 	}
-	st.blobStats.ChunkBytesSent += uint64(sent * m.WireSize())
+	st.blobStats.ChunkBytesSent += uint64(sent * msg.WireSize())
 }
 
 // ---------------------------------------------------------------- receive

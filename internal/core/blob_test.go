@@ -423,7 +423,7 @@ func TestPiggybackBlobAdsRoundTrip(t *testing.T) {
 	entries[0].blobs[1] = piggyBlob{id: 4, k: 1, n: 1, size: 10, chunkSize: 64, bitmap: []byte{0x01}}
 	entries[0].nBlobs = 2
 
-	got, err := new(Protocol).decodePiggyback(encodePiggyback(entries))
+	got, err := new(Protocol).decodePiggyback(appendPiggyback(nil, entries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestPiggybackBlobAdsRoundTrip(t *testing.T) {
 	}
 
 	// Truncation anywhere must error, never panic.
-	pb := encodePiggyback(entries)
+	pb := appendPiggyback(nil, entries)
 	for cut := 1; cut < len(pb); cut++ {
 		if _, err := new(Protocol).decodePiggyback(pb[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)

@@ -46,8 +46,11 @@ type Protocol struct {
 
 	// Reused keep-alive piggyback buffers (see piggyback.go): pbOut builds
 	// outgoing entries, pbEntries/pbIDs hold one decoded incoming blob,
-	// sidScratch the sorted stream iteration order.
+	// sidScratch the sorted stream iteration order, pbScratch the encoding
+	// in progress and pbLast the immutable blob last returned.
 	pbOut      []piggyStream
+	pbScratch  []byte
+	pbLast     []byte
 	pbEntries  []piggyStream
 	pbIDs      []ids.NodeID
 	sidScratch []wire.StreamID
@@ -388,10 +391,13 @@ func (p *Protocol) relay(st *stream, except ids.NodeID, seq uint32, payload []by
 	if p.cfg.Mode != ModeDAG {
 		msg.Path = st.myPath
 	}
-	var m wire.Message = msg // one boxing for the whole fan-out
+	var m wire.Message // boxed once, on the first recipient: a leaf boxes nothing
 	for _, n := range p.cfg.PSS.Active() {
 		if n == except || st.outInactive.Has(n) {
 			continue
+		}
+		if m == nil {
+			m = msg
 		}
 		p.env.Send(n, m)
 	}
@@ -499,7 +505,12 @@ func (p *Protocol) structOnNew(st *stream, from ids.NodeID, depth uint16, path [
 	now := p.env.Now()
 	switch p.cfg.Mode {
 	case ModeTree:
-		st.myPath = append(ids.Clone(path), p.env.ID())
+		// The embedded path changes only on a re-parent. A changed one is
+		// built fresh, never written into the old slice: every path handed
+		// to Env.Send is aliased by in-flight messages and must stay as sent.
+		if n := len(path); len(st.myPath) != n+1 || !slices.Equal(st.myPath[:n], path) {
+			st.myPath = append(append(make([]ids.NodeID, 0, n+1), path...), p.env.ID())
+		}
 		if pathContains(path, p.env.ID()) {
 			// §II-D continuous cycle detection, on *every* reception: a
 			// path through us means our parent is fed (directly or via

@@ -148,7 +148,7 @@ func TestPiggybackRoundTrip(t *testing.T) {
 			parents: []ids.NodeID{5}, path: []ids.NodeID{1, 2, 3}},
 		{stream: 2, depth: wire.NoDepth, uptime: 0, degree: 0, upTo: 0},
 	}
-	blob := encodePiggyback(entries)
+	blob := appendPiggyback(nil, entries)
 	got, err := new(Protocol).decodePiggyback(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestPiggybackRoundTrip(t *testing.T) {
 }
 
 func TestPiggybackRejectsTruncation(t *testing.T) {
-	blob := encodePiggyback([]piggyStream{{stream: 1, path: []ids.NodeID{1, 2}}})
+	blob := appendPiggyback(nil, []piggyStream{{stream: 1, path: []ids.NodeID{1, 2}}})
 	for cut := 1; cut < len(blob); cut++ {
 		if _, err := new(Protocol).decodePiggyback(blob[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
@@ -184,7 +184,7 @@ func TestQuickPiggybackRoundTrip(t *testing.T) {
 			stream: wire.StreamID(stream), depth: depth, uptime: uptime,
 			degree: degree, upTo: upTo, path: path,
 		}}
-		out, err := new(Protocol).decodePiggyback(encodePiggyback(in))
+		out, err := new(Protocol).decodePiggyback(appendPiggyback(nil, in))
 		if err != nil || len(out) != 1 {
 			return false
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"time"
 
 	"repro/internal/blob"
@@ -51,24 +52,9 @@ type piggyStream struct {
 	nBlobs  int
 }
 
-// piggySize is the exact encoded size of the entries, so encodePiggyback
-// allocates its output once instead of growing through appends.
-func piggySize(entries []piggyStream) int {
-	size := 1
-	for _, it := range entries {
-		size += 4 + 2 + 4 + 2 + 4 // stream, depth, uptime, degree, upTo
-		size += 2 + len(it.parents)*ids.WireSize
-		size += 2 + len(it.path)*ids.WireSize
-		size++ // blobCount
-		for _, ad := range it.blobs[:it.nBlobs] {
-			size += 4 + 2 + 2 + 4 + 4 + 2 + len(ad.bitmap)
-		}
-	}
-	return size
-}
-
-func encodePiggyback(entries []piggyStream) []byte {
-	e := wire.Encoder{B: make([]byte, 0, piggySize(entries))}
+// appendPiggyback appends the encoded entries to dst.
+func appendPiggyback(dst []byte, entries []piggyStream) []byte {
+	e := wire.Encoder{B: dst}
 	e.U8(uint8(len(entries)))
 	for _, it := range entries {
 		e.U32(uint32(it.stream))
@@ -136,7 +122,10 @@ func (p *Protocol) decodePiggyback(pb []byte) ([]piggyStream, error) {
 
 // PiggybackBlob encodes this node's per-stream structural state for
 // inclusion in outgoing keep-alives. Wire through
-// hyparview.Config.Piggyback.
+// hyparview.Config.Piggyback. While the state encodes to the same bytes the
+// same slice is returned; a change yields a fresh one, because blobs already
+// handed to Env.Send are aliased by in-flight messages (and by receivers'
+// decodePiggyback on the simulator) and are never written again.
 func (p *Protocol) PiggybackBlob() []byte {
 	if len(p.streams) == 0 {
 		return nil
@@ -166,7 +155,11 @@ func (p *Protocol) PiggybackBlob() []byte {
 	if len(entries) == 0 {
 		return nil
 	}
-	return encodePiggyback(entries)
+	p.pbScratch = appendPiggyback(p.pbScratch[:0], entries)
+	if !bytes.Equal(p.pbScratch, p.pbLast) {
+		p.pbLast = bytes.Clone(p.pbScratch)
+	}
+	return p.pbLast
 }
 
 // adBlobs fills the entry's possession advertisements: the two most recent

@@ -34,6 +34,11 @@ import (
 // the experiments use, with headroom).
 const maxFrame = 1 << 20
 
+// inboxDepth is how many decoded messages a connection's reader may run ahead
+// of the actor: about what one 4 KiB socket read holds at 256 B a message, so
+// a reader still batches, while an idle connection costs a few hundred bytes.
+const inboxDepth = 16
+
 // ErrStopped is reported on sends after the node shut down.
 var ErrStopped = errors.New("livenet: node stopped")
 
@@ -110,6 +115,17 @@ type liveConn struct {
 	c    net.Conn
 	wmu  sync.Mutex
 	w    *bufio.Writer
+
+	// Reader → actor hand-off without a closure per message: the reader
+	// queues the decoded message here, then posts deliver — allocated once
+	// per connection — to the mailbox, and each deliver takes exactly one
+	// message. The mailbox thus still orders and bounds everything.
+	inbox   chan wire.Message
+	deliver func()
+	// Owned by the reader goroutine: frames that fit r's buffer are decoded
+	// there, larger ones in scratch (at most maxFrame, kept for reuse).
+	r       *bufio.Reader
+	scratch []byte
 
 	// Per-connection tap: bumped on the reader goroutine and under wmu on
 	// the writer side, read from any goroutine.
@@ -400,9 +416,18 @@ func (n *Node) Send(to ids.NodeID, m wire.Message) {
 	if !ok {
 		return // no established connection: dropped, like a broken stream
 	}
+	size := m.WireSize()
+	if size > maxFrame {
+		// Every receiver would refuse the frame and drop the connection.
+		n.Log("dropping %v to %v: frame is %d bytes, max %d", m.Kind(), to, size, maxFrame)
+		return
+	}
 	// Frame into a pooled buffer — length header and body in one write —
 	// so a node sending at full rate allocates nothing per message.
 	bufp := wire.GetBuffer()
+	if cap(*bufp) < 4+size {
+		*bufp = make([]byte, 0, 4+size) // one exact allocation, not a doubling chain
+	}
 	buf := append(*bufp, 0, 0, 0, 0)
 	buf = wire.AppendFrame(buf, m)
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
@@ -471,7 +496,8 @@ func (n *Node) acceptLoop() {
 // to the peer already exists, the new one is dropped (first wins; the
 // protocols tolerate a failed dial).
 func (n *Node) registerConn(peer ids.NodeID, conn net.Conn) {
-	lc := &liveConn{peer: peer, c: conn, w: bufio.NewWriter(conn)}
+	lc := &liveConn{peer: peer, c: conn, w: bufio.NewWriter(conn), inbox: make(chan wire.Message, inboxDepth)}
+	lc.deliver = func() { n.handler.Receive(lc.peer, <-lc.inbox) }
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
@@ -495,33 +521,73 @@ func (n *Node) registerConn(peer ids.NodeID, conn net.Conn) {
 
 func (n *Node) readLoop(lc *liveConn) {
 	defer n.wg.Done()
-	r := bufio.NewReader(lc.c)
+	lc.r = bufio.NewReader(lc.c)
 	for {
-		var hdr [4]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			n.dropConn(lc.peer, lc, err)
-			return
-		}
-		size := binary.BigEndian.Uint32(hdr[:])
-		if size == 0 || size > maxFrame {
-			n.dropConn(lc.peer, lc, fmt.Errorf("livenet: bad frame size %d", size))
-			return
-		}
-		frame := make([]byte, size)
-		if _, err := io.ReadFull(r, frame); err != nil {
-			n.dropConn(lc.peer, lc, err)
-			return
-		}
-		lc.msgsIn.Add(1)
-		lc.bytesIn.Add(uint64(len(hdr)) + uint64(size))
-		msg, err := wire.Unmarshal(frame)
+		msg, err := lc.readFrame()
 		if err != nil {
 			n.dropConn(lc.peer, lc, err)
 			return
 		}
-		peer := lc.peer
-		n.enqueue(func() { n.handler.Receive(peer, msg) })
+		select {
+		case lc.inbox <- msg:
+			n.enqueue(lc.deliver)
+		case <-n.done:
+			return
+		}
 	}
+}
+
+// readFrame reads and decodes one length-prefixed frame. wire.Unmarshal
+// copies whatever the message keeps, so the frame is decoded where it was
+// read and that storage is reused for the next frame.
+func (lc *liveConn) readFrame() (wire.Message, error) {
+	r := lc.r
+	hdr, err := peekFull(r, 4)
+	if err != nil {
+		return nil, err
+	}
+	size := int(binary.BigEndian.Uint32(hdr))
+	if size == 0 || size > maxFrame {
+		return nil, fmt.Errorf("livenet: bad frame size %d", size)
+	}
+	var frame []byte
+	inPlace := 4+size <= r.Size()
+	if inPlace {
+		if frame, err = peekFull(r, 4+size); err != nil {
+			return nil, err
+		}
+		frame = frame[4:]
+	} else {
+		r.Discard(4)
+		if cap(lc.scratch) < size {
+			lc.scratch = make([]byte, size)
+		}
+		frame = lc.scratch[:size]
+		if _, err := io.ReadFull(r, frame); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	lc.msgsIn.Add(1)
+	lc.bytesIn.Add(4 + uint64(size))
+	msg, err := wire.Unmarshal(frame)
+	if inPlace {
+		r.Discard(4 + size) // only now: Discard gives the viewed bytes back to r
+	}
+	return msg, err
+}
+
+// peekFull is r.Peek(n) with io.ReadFull's error convention: a stream that
+// ends inside the n bytes is io.ErrUnexpectedEOF, one that ends before them
+// io.EOF.
+func peekFull(r *bufio.Reader, n int) ([]byte, error) {
+	b, err := r.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
 }
 
 // dropConn removes a broken connection and reports ConnDown once.

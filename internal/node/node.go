@@ -53,6 +53,12 @@ type Env interface {
 	// connection that is not (yet or anymore) established are dropped, as
 	// they would be on a broken TCP stream; the failure eventually surfaces
 	// as ConnDown.
+	//
+	// Ownership: from Send on, m and every slice it carries (path, payload,
+	// piggyback) are shared and read-only. The simulator delivers the very
+	// same value — possibly on another scheduler shard, possibly much later
+	// — and senders hand one message to many peers, so a sender that wants
+	// different contents builds a new slice; it never writes into a sent one.
 	Send(to ids.NodeID, m wire.Message)
 
 	// Connected reports whether a connection to the peer is established.
@@ -67,7 +73,10 @@ type Handler interface {
 	// Start runs once when the node boots, before any other callback.
 	Start(env Env)
 
-	// Receive delivers one message from an established connection.
+	// Receive delivers one message from an established connection. m is
+	// shared with the sender and with the other receivers of the same Send
+	// (see Env.Send): the handler may keep m and its slices for as long as it
+	// only reads them, and copies whatever it wants to change.
 	Receive(from ids.NodeID, m wire.Message)
 
 	// ConnUp reports that a connection (initiated by either side) is

@@ -171,10 +171,21 @@ func GetBuffer() *[]byte {
 	return bp
 }
 
-// PutBuffer returns a borrowed buffer to the pool.
-func PutBuffer(bp *[]byte) { bufPool.Put(bp) }
+// maxPooledBuf is the largest buffer the pool keeps: one blob chunk would
+// otherwise pin a MiB-sized buffer for the life of the pool.
+const maxPooledBuf = 64 << 10
 
-// Unmarshal decodes a frame produced by Marshal.
+// PutBuffer returns a borrowed buffer to the pool, unless it grew past
+// maxPooledBuf.
+func PutBuffer(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		bufPool.Put(bp)
+	}
+}
+
+// Unmarshal decodes a frame produced by Marshal. The result never aliases
+// frame — every decoder copies the bytes and identifiers it keeps — which is
+// what lets a transport decode from storage it reuses for the next frame.
 func Unmarshal(frame []byte) (Message, error) {
 	if len(frame) == 0 {
 		return nil, ErrTruncated

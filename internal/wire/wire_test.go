@@ -259,3 +259,21 @@ func TestAppendFrameMatchesMarshal(t *testing.T) {
 		}
 	}
 }
+
+// TestPutBufferDropsGrownBuffers: a buffer that one large frame (a blob
+// chunk) grew past maxPooledBuf must not come back from the pool — it would
+// stay pinned there for the life of the process.
+func TestPutBufferDropsGrownBuffers(t *testing.T) {
+	for i := 0; i < 64; i++ {
+		bp := GetBuffer()
+		*bp = append(*bp, make([]byte, maxPooledBuf+1)...)
+		PutBuffer(bp)
+	}
+	for i := 0; i < 64; i++ {
+		bp := GetBuffer()
+		if len(*bp) != 0 || cap(*bp) > maxPooledBuf {
+			t.Fatalf("GetBuffer returned len %d cap %d, want empty and at most %d", len(*bp), cap(*bp), maxPooledBuf)
+		}
+		defer PutBuffer(bp) // held until the end so that each Get digs deeper into the pool
+	}
+}
