@@ -71,6 +71,14 @@ func parsePartition(s string) (brisa.Partition, error) {
 	return p, nil
 }
 
+// exitOn prints err, if any, and exits the way a bad invocation does.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+}
+
 func main() {
 	var (
 		nodes    = flag.Int("nodes", 128, "network size")
@@ -191,30 +199,27 @@ func main() {
 		f := &brisa.FaultModel{Loss: *loss, Duplicate: *dup, Reorder: *reorder}
 		if *part != "" {
 			p, err := parsePartition(*part)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
+			exitOn(err)
 			f.Partitions = []brisa.Partition{p}
 		}
 		if *buffer > 0 {
 			policy, err := brisa.ParseDropPolicy(*bufDrop)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
+			exitOn(err)
 			f.Buffer = &brisa.BufferModel{Capacity: *buffer, Policy: policy}
 		}
 		sc.Faults = f
 	}
 
 	rt, err := brisa.LookupRuntime(*runtime)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	exitOn(err)
 	if sim, ok := rt.(brisa.SimRuntime); ok {
 		sim.Workers = *workers
+		// The cluster is built here, not inside Run, so that it is still
+		// reachable when the heap profile is taken.
+		c, err := sim.NewCluster(sc)
+		exitOn(err)
+		defer c.Close()
+		sim.Cluster = c
 		rt = sim
 	} else if *workers != 0 {
 		fmt.Fprintf(os.Stderr, "-workers applies to the sim runtime only, ignored for %q\n", rt.Name())
@@ -241,14 +246,8 @@ func main() {
 	stopProfile := func() {}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		exitOn(err)
+		exitOn(pprof.StartCPUProfile(f))
 		stopProfile = func() {
 			pprof.StopCPUProfile()
 			f.Close()
@@ -258,25 +257,20 @@ func main() {
 	fmt.Fprintf(os.Stderr, "running %d nodes, %d stream(s) on the %q runtime...\n", *nodes, *streams, rt.Name())
 	rep, err := brisa.Run(ctx, rt, sc)
 	stopProfile()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	// The heap profile is taken before the report (and the engine behind it)
-	// goes out of scope, so per-run allocations — node state, the collector's
-	// per-node accumulators and histograms — are still live and attributable.
+	exitOn(err)
+	// The heap profile is taken while rt still holds the simulated cluster,
+	// so inuse_space is the nodes' state. On the live and dist runtimes the
+	// nodes are gone (or elsewhere) by now and only the report is left.
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+		exitOn(err)
 		goruntime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		f.Close()
+		exitOn(pprof.WriteHeapProfile(f))
+		exitOn(f.Close())
+		var ms goruntime.MemStats
+		goruntime.ReadMemStats(&ms)
+		fmt.Fprintf(os.Stderr, "heap bytes/node: %d (%d nodes, %d B live)\n", ms.HeapAlloc/uint64(*nodes), *nodes, ms.HeapAlloc)
+		goruntime.KeepAlive(rt)
 	}
 
 	if *asJSON {

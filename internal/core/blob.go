@@ -189,7 +189,7 @@ func (p *Protocol) relayChunk(st *stream, except ids.NodeID, b *blobState, idx i
 	var m wire.Message // boxed once, on the first recipient (see relay)
 	sent := 0
 	for _, nb := range p.cfg.PSS.Active() {
-		if nb == except || st.outInactive.Has(nb) {
+		if nb == except || st.has(nb, fOutInactive) {
 			continue
 		}
 		if m == nil {
@@ -357,7 +357,7 @@ func (p *Protocol) sendHave(st *stream, b *blobState) {
 		Bitmap: append([]byte(nil), b.have...),
 	}
 	for _, nb := range p.cfg.PSS.Active() {
-		if st.outInactive.Has(nb) {
+		if st.has(nb, fOutInactive) {
 			continue
 		}
 		p.env.Send(nb, m)

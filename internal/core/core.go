@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,10 +46,12 @@ type Protocol struct {
 	blobSnap atomic.Pointer[map[wire.StreamID][]func(BlobDelivery)]
 
 	// Reused keep-alive piggyback buffers (see piggyback.go): pbOut builds
-	// outgoing entries, pbEntries/pbIDs hold one decoded incoming blob,
+	// outgoing entries over the parent lists in pbParents, pbEntries/pbIDs
+	// hold one decoded incoming blob,
 	// sidScratch the sorted stream iteration order, pbScratch the encoding
 	// in progress and pbLast the immutable blob last returned.
 	pbOut      []piggyStream
+	pbParents  []ids.NodeID
 	pbScratch  []byte
 	pbLast     []byte
 	pbEntries  []piggyStream
@@ -98,7 +101,7 @@ func (p *Protocol) Mode() Mode { return p.cfg.Mode }
 func (p *Protocol) getStream(id wire.StreamID) *stream {
 	st, ok := p.streams[id]
 	if !ok {
-		st = newStream(id)
+		st = newStream(id, len(p.cfg.PSS.Active()))
 		p.streams[id] = st
 	}
 	return st
@@ -112,15 +115,12 @@ func (p *Protocol) StreamIDs() []wire.StreamID {
 // appendStreamIDs appends the stream ids ascending — the scratch-buffer
 // variant for per-tick paths (keep-alive piggyback).
 func (p *Protocol) appendStreamIDs(out []wire.StreamID) []wire.StreamID {
-	//brisa:orderinvariant append-then-sort: the insertion sort below restores ascending order
+	start := len(out)
+	//brisa:orderinvariant append-then-sort: the sort below restores ascending order
 	for id := range p.streams {
 		out = append(out, id)
 	}
-	for i := 1; i < len(out); i++ { // insertion sort; stream counts are tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out[start:])
 	return out
 }
 
@@ -128,7 +128,7 @@ func (p *Protocol) appendStreamIDs(out []wire.StreamID) []wire.StreamID {
 // slice is the caller's to keep.
 func (p *Protocol) Parents(id wire.StreamID) []ids.NodeID {
 	if st, ok := p.streams[id]; ok {
-		return ids.Clone(st.parentIDs())
+		return st.appendParents(nil)
 	}
 	return nil
 }
@@ -146,7 +146,7 @@ func (p *Protocol) Children(id wire.StreamID) []ids.NodeID {
 func (p *Protocol) childrenOf(st *stream) []ids.NodeID {
 	var out []ids.NodeID
 	for _, n := range p.cfg.PSS.Active() {
-		if !st.outInactive.Has(n) && !st.isParent(n) {
+		if !st.has(n, fOutInactive|fParent) {
 			out = append(out, n)
 		}
 	}
@@ -158,7 +158,7 @@ func (p *Protocol) childrenOf(st *stream) []ids.NodeID {
 func (p *Protocol) childCount(st *stream) int {
 	count := 0
 	for _, n := range p.cfg.PSS.Active() {
-		if !st.outInactive.Has(n) && !st.isParent(n) {
+		if !st.has(n, fOutInactive|fParent) {
 			count++
 		}
 	}
@@ -207,7 +207,7 @@ func (p *Protocol) DeliveredCount(id wire.StreamID) uint64 {
 // cleared by a post-repair delivery.)
 func (p *Protocol) IsOrphan(id wire.StreamID) bool {
 	st, ok := p.streams[id]
-	return ok && p.cfg.Mode != ModeFlood && st.started && !st.source && len(st.parents) == 0
+	return ok && p.cfg.Mode != ModeFlood && st.started && !st.source && st.nParents == 0
 }
 
 // ConstructionTime returns the §III-D metric behind Figure 13: the time from
@@ -393,7 +393,7 @@ func (p *Protocol) relay(st *stream, except ids.NodeID, seq uint32, payload []by
 	}
 	var m wire.Message // boxed once, on the first recipient: a leaf boxes nothing
 	for _, n := range p.cfg.PSS.Active() {
-		if n == except || st.outInactive.Has(n) {
+		if n == except || st.has(n, fOutInactive) {
 			continue
 		}
 		if m == nil {
@@ -433,15 +433,14 @@ func (p *Protocol) Receive(from ids.NodeID, m wire.Message) {
 // the sender's structural position.
 func (p *Protocol) noteSender(st *stream, from ids.NodeID, depth uint16, path []ids.NodeID) {
 	now := p.env.Now()
-	if _, ok := st.firstHeard[from]; !ok {
-		st.firstHeard[from] = now
-	}
 	pi := st.info(from)
-	pi.at = now
+	if pi.firstHeard.IsZero() {
+		pi.firstHeard = now
+	}
 	if p.cfg.Mode == ModeDAG {
 		pi.depth = depth
 	} else {
-		pi.pathHasMe = pathContains(path, p.env.ID())
+		pi.pathHasMe = ids.Contains(path, p.env.ID())
 		pi.pathKnown = true
 		pi.lastHop = ids.Nil
 		if len(path) >= 2 {
@@ -502,7 +501,6 @@ func (p *Protocol) onData(from ids.NodeID, m wire.Data) {
 // by Data and BlobChunk, which carry the same (Depth, Path) metadata. Must
 // not be called on the stream's source.
 func (p *Protocol) structOnNew(st *stream, from ids.NodeID, depth uint16, path []ids.NodeID) {
-	now := p.env.Now()
 	switch p.cfg.Mode {
 	case ModeTree:
 		// The embedded path changes only on a re-parent. A changed one is
@@ -511,23 +509,16 @@ func (p *Protocol) structOnNew(st *stream, from ids.NodeID, depth uint16, path [
 		if n := len(path); len(st.myPath) != n+1 || !slices.Equal(st.myPath[:n], path) {
 			st.myPath = append(append(make([]ids.NodeID, 0, n+1), path...), p.env.ID())
 		}
-		if pathContains(path, p.env.ID()) {
+		if ids.Contains(path, p.env.ID()) {
 			// §II-D continuous cycle detection, on *every* reception: a
 			// path through us means our parent is fed (directly or via
 			// retransmissions) by our own subtree. Duplicates through a
 			// starved cycle never arrive, so new messages must be
 			// checked too.
 			if st.isParent(from) {
-				p.metrics.CycleDetections++
-				p.emit(Event{Type: EvCycleDetected, Stream: st.id, Peer: from})
-				p.dropParent(st, from)
-				p.sendDeactivate(st, from, false)
-				st.cooldown[from] = now.Add(p.cfg.ReadoptCooldown)
-				if !p.revertGrace(st) {
-					p.repairOrAcquire(st, from)
-				}
+				p.onCycle(st, from)
 			}
-		} else if len(st.parents) == 0 {
+		} else if st.nParents == 0 {
 			p.adoptParent(st, from)
 		}
 	case ModeDAG:
@@ -537,7 +528,7 @@ func (p *Protocol) structOnNew(st *stream, from ids.NodeID, depth uint16, path [
 			p.setDepth(st, depth+1)
 		}
 		p.enforceParentDepth(st, from)
-		if !st.isParent(from) && len(st.parents) < p.cfg.Parents && depth < st.depth {
+		if !st.isParent(from) && st.nParents < p.cfg.Parents && depth < st.depth {
 			p.adoptParent(st, from)
 		}
 	}
@@ -558,9 +549,7 @@ func (p *Protocol) structOnDup(st *stream, from ids.NodeID, depth uint16, path [
 	}
 	if st.source {
 		// Every inbound link at the source is useless.
-		if !st.inactiveIn.Has(from) {
-			p.sendDeactivate(st, from, false)
-		}
+		p.deactivate(st, from, false)
 		return
 	}
 	switch p.cfg.Mode {
@@ -575,40 +564,48 @@ func (p *Protocol) onDuplicateTree(st *stream, from ids.NodeID, path []ids.NodeI
 	if from == st.graceParent {
 		return // expected duplicates during a make-before-break switch
 	}
-	eligible := !pathContains(path, p.env.ID())
+	eligible := !ids.Contains(path, p.env.ID())
 	if st.isParent(from) {
 		if !eligible {
 			// §II-D: continuous cycle detection — the parent's messages
 			// now flow through us.
-			p.metrics.CycleDetections++
-			p.emit(Event{Type: EvCycleDetected, Stream: st.id, Peer: from})
-			p.dropParent(st, from)
-			p.sendDeactivate(st, from, false)
-			st.cooldown[from] = p.env.Now().Add(p.cfg.ReadoptCooldown)
-			if !p.revertGrace(st) {
-				p.repairOrAcquire(st, from)
-			}
+			p.onCycle(st, from)
 		}
 		return
 	}
 	if !eligible {
-		if !st.inactiveIn.Has(from) {
-			p.sendDeactivate(st, from, false)
-		}
+		p.deactivate(st, from, false)
 		return
 	}
-	if len(st.parents) == 0 {
+	if st.nParents == 0 {
 		p.adoptParent(st, from)
 		return
 	}
-	cur := st.parentIDs()[0]
+	cur := st.firstParent()
 	if p.switchWins(st, from, cur) {
 		p.beginGraceSwitch(st, cur, from)
 		return
 	}
-	if !st.inactiveIn.Has(from) {
-		p.sendDeactivate(st, from, p.cfg.SymmetricDeactivation)
+	p.deactivate(st, from, p.cfg.SymmetricDeactivation)
+}
+
+// onCycle drops a parent whose messages loop through us and re-homes.
+func (p *Protocol) onCycle(st *stream, from ids.NodeID) {
+	p.metrics.CycleDetections++
+	p.emit(Event{Type: EvCycleDetected, Stream: st.id, Peer: from})
+	p.expel(st, from)
+	if !p.revertGrace(st) {
+		p.repairOrAcquire(st, from)
 	}
+}
+
+// expel drops a parent that proved bad and bars it from proactive
+// re-adoption for a cooldown: in a mutual-adoption cycle its stale path
+// info can look eligible.
+func (p *Protocol) expel(st *stream, peer ids.NodeID) {
+	p.dropParent(st, peer)
+	p.sendDeactivate(st, peer, false)
+	st.info(peer).cooldownUntil = p.env.Now().Add(p.cfg.ReadoptCooldown)
 }
 
 // beginGraceSwitch replaces parent old with new, make-before-break: old's
@@ -642,8 +639,8 @@ func (p *Protocol) finalizeGrace(st *stream) {
 		return
 	}
 	st.graceParent = ids.Nil
-	if !st.isParent(old) && p.cfg.PSS.ActiveContains(old) && !st.inactiveIn.Has(old) {
-		p.sendDeactivate(st, old, false)
+	if !st.isParent(old) && p.cfg.PSS.ActiveContains(old) {
+		p.deactivate(st, old, false)
 	}
 }
 
@@ -670,10 +667,7 @@ func (p *Protocol) revertGrace(st *stream) bool {
 // racing pairs of nodes into adopting each other.
 func (p *Protocol) switchWins(st *stream, cand, inc ids.NodeID) bool {
 	now := p.env.Now()
-	if until, ok := st.cooldown[cand]; ok && now.Before(until) {
-		return false
-	}
-	if pi, ok := st.peers[cand]; ok && pi.parentIsMe {
+	if pi := st.known(cand); pi != nil && (pi.parentIsMe || now.Before(pi.cooldownUntil)) {
 		return false
 	}
 	if cand == st.graceParent {
@@ -681,15 +675,8 @@ func (p *Protocol) switchWins(st *stream, cand, inc ids.NodeID) bool {
 	}
 	sc := p.cfg.Strategy.Score(p.offer(st, cand))
 	si := p.cfg.Strategy.Score(p.incumbent(st, inc))
-	margin := p.cfg.SwitchMargin * mathAbs(si)
+	margin := p.cfg.SwitchMargin * math.Abs(si)
 	return sc < si-margin
-}
-
-func mathAbs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func (p *Protocol) onDuplicateDAG(st *stream, from ids.NodeID, depth uint16) {
@@ -707,31 +694,28 @@ func (p *Protocol) onDuplicateDAG(st *stream, from ids.NodeID, depth uint16) {
 		p.setDepth(st, depth+1) // sender becomes eligible below
 	}
 	if st.depth == wire.NoDepth || depth >= st.depth {
-		if !st.inactiveIn.Has(from) {
-			p.sendDeactivate(st, from, false)
-		}
+		p.deactivate(st, from, false)
 		return
 	}
-	if len(st.parents) < p.cfg.Parents {
+	if st.nParents < p.cfg.Parents {
 		p.adoptParent(st, from)
 		return
 	}
 	// Parent set is full: the offer may displace the worst incumbent, but
 	// only past the hysteresis bar.
-	parents := st.parentIDs()
-	worst := parents[0]
-	worstCand := p.incumbent(st, worst)
-	for _, par := range parents[1:] {
-		if c := p.incumbent(st, par); !better(p.cfg.Strategy, c, worstCand) {
-			worst, worstCand = par, c
+	var worst ids.NodeID
+	var worstCand Candidate
+	for i := range st.nbrs {
+		if par := st.nbrs[i].id; st.nbrs[i].facets&fParent != 0 {
+			if c := p.incumbent(st, par); worst == ids.Nil || !better(p.cfg.Strategy, c, worstCand) {
+				worst, worstCand = par, c
+			}
 		}
 	}
 	if !p.switchWins(st, from, worst) {
-		if !st.inactiveIn.Has(from) {
-			// Never symmetric in DAG mode: a neighbor that heard the
-			// message before us may still adopt us as an extra parent.
-			p.sendDeactivate(st, from, false)
-		}
+		// Never symmetric in DAG mode: a neighbor that heard the
+		// message before us may still adopt us as an extra parent.
+		p.deactivate(st, from, false)
 		return
 	}
 	p.beginGraceSwitch(st, worst, from)
@@ -739,12 +723,20 @@ func (p *Protocol) onDuplicateDAG(st *stream, from ids.NodeID, depth uint16) {
 
 // ---------------------------------------------------------------- links
 
+// deactivate turns the inbound link from peer off unless it is off already.
+func (p *Protocol) deactivate(st *stream, peer ids.NodeID, symmetric bool) {
+	if !st.has(peer, fInactiveIn) {
+		p.sendDeactivate(st, peer, symmetric)
+	}
+}
+
 func (p *Protocol) sendDeactivate(st *stream, to ids.NodeID, symmetric bool) {
 	p.env.Send(to, wire.Deactivate{Stream: st.id, Symmetric: symmetric})
-	st.inactiveIn.Add(to)
+	f := fInactiveIn
 	if symmetric {
-		st.outInactive.Add(to)
+		f |= fOutInactive
 	}
+	st.info(to).facets |= f
 	p.metrics.DeactivationsSent++
 	if st.firstDeactivateAt.IsZero() {
 		st.firstDeactivateAt = p.env.Now()
@@ -754,27 +746,26 @@ func (p *Protocol) sendDeactivate(st *stream, to ids.NodeID, symmetric bool) {
 
 func (p *Protocol) onDeactivate(from ids.NodeID, m wire.Deactivate) {
 	st := p.getStream(m.Stream)
-	st.outInactive.Add(from)
-	if m.Symmetric {
+	nb := st.info(from)
+	nb.facets |= fOutInactive
+	if m.Symmetric && nb.facets&fInactiveIn == 0 {
 		// §II-E optimization: the peer also stopped relaying to us, so our
 		// inbound link from it is inactive without a further message.
-		if !st.inactiveIn.Has(from) {
-			st.inactiveIn.Add(from)
-			if st.firstDeactivateAt.IsZero() {
-				st.firstDeactivateAt = p.env.Now()
-			}
-			p.checkConstructed(st)
+		nb.facets |= fInactiveIn
+		if st.firstDeactivateAt.IsZero() {
+			st.firstDeactivateAt = p.env.Now()
 		}
+		p.checkConstructed(st)
 	}
 }
 
 func (p *Protocol) onReactivate(from ids.NodeID, m wire.Reactivate) {
 	st := p.getStream(m.Stream)
-	st.outInactive.Remove(from)
+	st.unset(from, fOutInactive)
 }
 
 func (p *Protocol) sendReactivate(st *stream, to ids.NodeID) {
-	st.inactiveIn.Remove(to)
+	st.unset(to, fInactiveIn)
 	p.env.Send(to, wire.Reactivate{Stream: st.id})
 	p.metrics.ReactivationsSent++
 }
@@ -787,7 +778,7 @@ func (p *Protocol) checkConstructed(st *stream) {
 	}
 	inActive := 0
 	for _, n := range p.cfg.PSS.Active() {
-		if !st.inactiveIn.Has(n) {
+		if !st.has(n, fInactiveIn) {
 			inActive++
 		}
 	}
@@ -804,12 +795,8 @@ func (p *Protocol) checkConstructed(st *stream) {
 
 func (p *Protocol) candidate(st *stream, peer ids.NodeID) Candidate {
 	c := Candidate{Peer: peer, RTT: p.cfg.PSS.RTT(peer), Degree: -1}
-	if t, ok := st.firstHeard[peer]; ok {
-		c.FirstHeard = t
-	}
-	if pi, ok := st.peers[peer]; ok {
-		c.Uptime = pi.uptime
-		c.Degree = pi.degree
+	if pi := st.known(peer); pi != nil {
+		c.FirstHeard, c.Uptime, c.Degree = pi.firstHeard, pi.uptime, pi.degree
 	}
 	return c
 }
@@ -831,26 +818,31 @@ func (p *Protocol) offer(st *stream, peer ids.NodeID) Candidate {
 // was adopted.
 func (p *Protocol) incumbent(st *stream, peer ids.NodeID) Candidate {
 	c := p.candidate(st, peer)
-	if t, ok := st.parents[peer]; ok {
-		c.FirstHeard = t
+	if pi := st.known(peer); pi != nil && pi.facets&fParent != 0 {
+		c.FirstHeard = pi.adoptedAt
 	}
 	return c
 }
 
 func (p *Protocol) adoptParent(st *stream, peer ids.NodeID) {
-	if st.inactiveIn.Has(peer) {
+	if st.has(peer, fInactiveIn) {
 		p.sendReactivate(st, peer)
 	}
-	st.parents[peer] = p.env.Now()
+	now := p.env.Now()
+	nb := st.info(peer)
+	if nb.facets&fParent == 0 {
+		st.nParents++
+	}
+	nb.facets, nb.adoptedAt = nb.facets|fParent, now
 	// Give the new parent a full stall window before judging it.
-	st.lastParentDelivery = p.env.Now()
+	st.lastParentDelivery = now
 	p.emit(Event{Type: EvParentAdopt, Stream: st.id, Peer: peer})
 }
 
 // dropParent removes a parent for protocol-internal reasons (replacement,
 // cycle, depth conflict) without failure accounting.
 func (p *Protocol) dropParent(st *stream, peer ids.NodeID) {
-	delete(st.parents, peer)
+	st.drop(peer)
 	p.emit(Event{Type: EvParentLost, Stream: st.id, Peer: peer})
 }
 
@@ -862,11 +854,8 @@ func (p *Protocol) dropParent(st *stream, peer ids.NodeID) {
 // detection. Nodes without an informed candidate fall back to hard repair,
 // where the exact per-message path check governs adoption (§II-F).
 func (p *Protocol) knownEligible(st *stream, peer ids.NodeID) bool {
-	if until, ok := st.cooldown[peer]; ok && p.env.Now().Before(until) {
-		return false
-	}
-	pi, ok := st.peers[peer]
-	if !ok || pi.parentIsMe {
+	pi := st.known(peer)
+	if pi == nil || pi.parentIsMe || p.env.Now().Before(pi.cooldownUntil) {
 		return false
 	}
 	switch p.cfg.Mode {
@@ -900,8 +889,8 @@ func (p *Protocol) bestEligibleNeighbor(st *stream, exclude, failedVia ids.NodeI
 			continue
 		}
 		if failedVia != ids.Nil && p.cfg.Mode == ModeTree {
-			if pi, ok := st.peers[n]; ok && pi.lastHop == failedVia {
-				continue
+			if st.known(n).lastHop == failedVia {
+				continue // knownEligible found the record
 			}
 		}
 		c := p.candidate(st, n)
@@ -918,7 +907,7 @@ func (p *Protocol) acquireParents(st *stream) {
 	if st.source || !st.started || p.cfg.Mode == ModeFlood {
 		return
 	}
-	for len(st.parents) < p.cfg.Parents {
+	for st.nParents < p.cfg.Parents {
 		c, ok := p.bestEligibleNeighbor(st, ids.Nil, ids.Nil)
 		if !ok {
 			return
@@ -939,7 +928,7 @@ func (p *Protocol) NeighborUp(peer ids.NodeID) {
 	for _, id := range p.StreamIDs() {
 		st := p.streams[id]
 		st.forget(peer) // fresh node, fresh links: both directions active
-		if !st.orphanedAt.IsZero() || (p.cfg.Mode == ModeDAG && st.started && !st.source && len(st.parents) < p.cfg.Parents) {
+		if !st.orphanedAt.IsZero() || (p.cfg.Mode == ModeDAG && st.started && !st.source && st.nParents < p.cfg.Parents) {
 			p.acquireParents(st)
 		}
 	}
@@ -951,8 +940,7 @@ func (p *Protocol) NeighborUp(peer ids.NodeID) {
 func (p *Protocol) NeighborDown(peer ids.NodeID) {
 	for _, id := range p.StreamIDs() {
 		st := p.streams[id]
-		wasParent := st.isParent(peer)
-		delete(st.parents, peer)
+		wasParent := st.drop(peer)
 		if st.graceParent == peer {
 			st.graceParent = ids.Nil
 		}
@@ -962,7 +950,7 @@ func (p *Protocol) NeighborDown(peer ids.NodeID) {
 		}
 		p.metrics.ParentsLost++
 		p.emit(Event{Type: EvParentLost, Stream: st.id, Peer: peer})
-		if len(st.parents) > 0 {
+		if st.nParents > 0 {
 			// DAG with surviving parents: flow continues seamlessly; top
 			// the parent set back up in the background.
 			p.acquireParents(st)
@@ -977,7 +965,7 @@ func (p *Protocol) NeighborDown(peer ids.NodeID) {
 // neighbor failure or through protocol-internal drops (depth-label drift,
 // cycle detection). It is a no-op while any parent remains.
 func (p *Protocol) becameParentless(st *stream, cause ids.NodeID) {
-	if st.source || !st.started || p.cfg.Mode == ModeFlood || len(st.parents) > 0 {
+	if st.source || !st.started || p.cfg.Mode == ModeFlood || st.nParents > 0 {
 		return
 	}
 	if !st.orphanedAt.IsZero() {
@@ -1005,21 +993,26 @@ func (p *Protocol) repairOrAcquire(st *stream, failed ids.NodeID) {
 	p.hardRepair(st, failed)
 }
 
-// hardRepair is the flooding fallback (§II-F): forget our position, turn all
-// inbound links back on, and order our children to re-bootstrap their part
-// of the structure.
+// hardRepair is the flooding fallback (§II-F).
 func (p *Protocol) hardRepair(st *stream, failed ids.NodeID) {
 	p.metrics.HardRepairs++
 	st.orphanWasHard = true
 	p.emit(Event{Type: EvHardRepair, Stream: st.id, Peer: failed})
+	p.refloodFrom(st, ids.Nil)
+}
+
+// refloodFrom forgets our position, turns every inbound link back on and
+// orders our children, except the node the order came from, to re-bootstrap
+// their part of the structure.
+func (p *Protocol) refloodFrom(st *stream, from ids.NodeID) {
 	p.forgetPosition(st)
 	order := wire.FloodRepair{Stream: st.id}
 	sent := 0
 	for _, n := range p.cfg.PSS.Active() {
-		if st.inactiveIn.Has(n) {
+		if st.has(n, fInactiveIn) {
 			p.sendReactivate(st, n)
 		}
-		if !st.outInactive.Has(n) {
+		if n != from && !st.has(n, fOutInactive) {
 			p.env.Send(n, order)
 			sent++
 		}
@@ -1035,10 +1028,9 @@ func (p *Protocol) forgetPosition(st *stream) {
 	if p.cfg.Mode == ModeDAG {
 		st.depth = wire.NoDepth
 	}
-	for _, pi := range st.peers {
-		pi.pathKnown = false
-		pi.pathHasMe = false
-		pi.depth = wire.NoDepth
+	for i := range st.nbrs {
+		pi := &st.nbrs[i]
+		pi.pathKnown, pi.pathHasMe, pi.depth = false, false, wire.NoDepth
 	}
 }
 
@@ -1060,21 +1052,7 @@ func (p *Protocol) onFloodRepair(from ids.NodeID, m wire.FloodRepair) {
 		return
 	}
 	// Recurse: reactivate all inbound and pass the order down.
-	p.forgetPosition(st)
-	order := wire.FloodRepair{Stream: st.id}
-	sent := 0
-	for _, n := range p.cfg.PSS.Active() {
-		if st.inactiveIn.Has(n) {
-			p.sendReactivate(st, n)
-		}
-		if n != from && !st.outInactive.Has(n) {
-			p.env.Send(n, order)
-			sent++
-		}
-	}
-	if sent > 0 {
-		p.metrics.FloodRepairOrders++
-	}
+	p.refloodFrom(st, from)
 }
 
 func (p *Protocol) onDepthUpdate(from ids.NodeID, m wire.DepthUpdate) {
@@ -1089,17 +1067,18 @@ func (p *Protocol) onDepthUpdate(from ids.NodeID, m wire.DepthUpdate) {
 // dropped — following it down could ping-pong forever if labels ever formed
 // a mutual dependency, while dropping always breaks it.
 func (p *Protocol) enforceParentDepth(st *stream, peer ids.NodeID) {
-	if p.cfg.Mode != ModeDAG || !st.isParent(peer) || st.depth == wire.NoDepth {
+	if p.cfg.Mode != ModeDAG || st.depth == wire.NoDepth {
 		return
 	}
-	pi, ok := st.peers[peer]
-	if !ok || pi.depth == wire.NoDepth {
+	pi := st.known(peer)
+	if pi == nil || pi.facets&fParent == 0 || pi.depth == wire.NoDepth {
 		return
 	}
+	depth := pi.depth // pi is not read again: the calls below can move the table
 	switch {
-	case pi.depth == st.depth:
-		p.setDepth(st, pi.depth+1)
-	case pi.depth > st.depth:
+	case depth == st.depth:
+		p.setDepth(st, depth+1)
+	case depth > st.depth:
 		p.dropParent(st, peer)
 		p.sendDeactivate(st, peer, false)
 		p.acquireParents(st)
@@ -1135,9 +1114,9 @@ func (p *Protocol) maybeRecoverGaps(st *stream, from ids.NodeID, seq uint32) {
 		return
 	}
 	st.lastRecovery = now
-	target := from
-	if parents := st.parentIDs(); len(parents) > 0 {
-		target = parents[0]
+	target := st.firstParent()
+	if target == ids.Nil {
+		target = from
 	}
 	p.metrics.RecoveryRequests++
 	p.env.Send(target, wire.MsgRequest{Stream: st.id, From: lo, To: hi})
@@ -1189,26 +1168,24 @@ func (p *Protocol) checkProgress(st *stream, peer ids.NodeID, peerUpTo uint32) {
 	}
 	// Stall repair: the structure stopped feeding us while the stream
 	// demonstrably advances.
-	if len(st.parents) == 0 || now.Sub(st.lastParentDelivery) < p.cfg.StallTimeout {
+	if st.nParents == 0 || now.Sub(st.lastParentDelivery) < p.cfg.StallTimeout {
 		return
 	}
 	p.metrics.StallRepairs++
 	p.emit(Event{Type: EvStallRepair, Stream: st.id, Peer: peer})
-	former := st.parentIDs()
-	for _, par := range former {
-		p.dropParent(st, par)
-		p.sendDeactivate(st, par, false)
-		// In a mutual-adoption cycle the broken parent's stale path info
-		// can look eligible; bar it for a cooldown.
-		st.cooldown[par] = now.Add(p.cfg.ReadoptCooldown)
+	former := st.firstParent()
+	for i := range st.nbrs { // expel inserts nothing: its record exists
+		if st.nbrs[i].facets&fParent != 0 {
+			p.expel(st, st.nbrs[i].id)
+		}
 	}
-	if c, ok := p.bestEligibleNeighbor(st, former[0], former[0]); ok {
+	if c, ok := p.bestEligibleNeighbor(st, former, former); ok {
 		p.sendReactivate(st, c)
 		p.adoptParent(st, c)
 		p.requestRecent(st, c)
 		return
 	}
-	p.hardRepair(st, former[0])
+	p.hardRepair(st, former)
 }
 
 func (p *Protocol) onMsgRequest(from ids.NodeID, m wire.MsgRequest) {

@@ -13,7 +13,7 @@ import (
 // ----------------------------------------------------------- stream state
 
 func TestStreamDeliveryTracking(t *testing.T) {
-	st := newStream(1)
+	st := newStream(1, 0)
 	if st.isDelivered(1) {
 		t.Error("virgin stream claims delivery")
 	}
@@ -46,7 +46,7 @@ func TestQuickStreamDeliveryInvariant(t *testing.T) {
 	// base is delivered, and sparse holds only seqs >= contigUpTo.
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		st := newStream(1)
+		st := newStream(1, 0)
 		base := uint32(r.Intn(10) + 1)
 		for i := 0; i < int(n); i++ {
 			st.markDelivered(base + uint32(r.Intn(30)))
@@ -79,7 +79,7 @@ func TestQuickStreamDeliveryInvariant(t *testing.T) {
 }
 
 func TestBufferRing(t *testing.T) {
-	st := newStream(1)
+	st := newStream(1, 0)
 	for seq := uint32(1); seq <= 10; seq++ {
 		st.remember(seq, []byte{byte(seq)}, 4)
 	}
@@ -226,7 +226,7 @@ func TestModeString(t *testing.T) {
 func TestSeqWindowFarFutureIsBounded(t *testing.T) {
 	// Regression: one malformed far-future sequence number must not force
 	// the delivery window into a giant dense allocation.
-	st := newStream(1)
+	st := newStream(1, 0)
 	st.markDelivered(1)
 	st.markDelivered(0xFFFFFFFF)
 	if len(st.sparse.words) > maxWindowWords {

@@ -130,7 +130,7 @@ func (p *Protocol) PiggybackBlob() []byte {
 	if len(p.streams) == 0 {
 		return nil
 	}
-	entries := p.pbOut[:0]
+	entries, parents := p.pbOut[:0], p.pbParents[:0]
 	sids := p.appendStreamIDs(p.sidScratch[:0])
 	p.sidScratch = sids[:0]
 	for _, id := range sids {
@@ -139,19 +139,21 @@ func (p *Protocol) PiggybackBlob() []byte {
 			continue
 		}
 		uptime := p.env.Now().Sub(p.startedAt)
+		mine := len(parents)
+		parents = st.appendParents(parents)
 		it := piggyStream{
 			stream:  st.id,
 			depth:   st.depth,
 			uptime:  uint32(uptime / time.Second),
 			degree:  uint16(p.childCount(st)),
 			upTo:    st.contigUpTo,
-			parents: st.parentIDs(),
+			parents: parents[mine:],
 			path:    st.myPath,
 		}
 		p.adBlobs(st, &it)
 		entries = append(entries, it)
 	}
-	p.pbOut = entries[:0]
+	p.pbOut, p.pbParents = entries[:0], parents[:0]
 	if len(entries) == 0 {
 		return nil
 	}
@@ -212,10 +214,9 @@ func (p *Protocol) HandlePiggyback(peer ids.NodeID, pb []byte) {
 		pi.depth = it.depth
 		pi.uptime = time.Duration(it.uptime) * time.Second
 		pi.degree = int(it.degree)
-		pi.pathHasMe = pathContains(it.path, p.env.ID())
+		pi.pathHasMe = ids.Contains(it.path, p.env.ID())
 		pi.pathKnown = true
-		pi.parentIsMe = pathContains(it.parents, p.env.ID())
-		pi.at = p.env.Now()
+		pi.parentIsMe = ids.Contains(it.parents, p.env.ID())
 		// A parent whose label drifted to or below ours must be followed
 		// or dropped; fresh eligibility info may also unblock parent
 		// acquisition (a DAG node below target, a tree node mid-repair).

@@ -97,7 +97,7 @@ func TestStreamDeliveredMatchesModel(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		seed := seed
 		r := rand.New(rand.NewSource(seed))
-		st := newStream(1)
+		st := newStream(1, 0)
 		model := &naiveSeqs{}
 		for op := 0; op < 3000; op++ {
 			seq := seqDraw(r, model)

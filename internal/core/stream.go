@@ -1,33 +1,51 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/ids"
 	"repro/internal/wire"
 )
 
-// peerInfo is what we last learned about a neighbor's position in a stream's
-// structure — from its data messages and from keep-alive piggybacks. Soft
-// repair (§II-F) uses this to pick an eligible replacement parent with local
-// knowledge only.
-type peerInfo struct {
+// facet is a set a neighbor record can be in: a presence bit each.
+type facet uint8
+
+const (
+	fParent      facet = 1 << iota // the peer feeds this stream; adoptedAt is set
+	fInactiveIn                    // we deactivated the inbound link from the peer
+	fOutInactive                   // the peer deactivated our link to it (or symmetric)
+)
+
+// neighbor is all a stream remembers about one peer: the sets it is in and
+// what we last learned about its position in the stream's structure — from
+// its data messages and from keep-alive piggybacks. Soft repair (§II-F) uses
+// this to pick an eligible replacement parent with local knowledge only. A
+// record made for one reason leaves every other field at the value readers
+// take as never learned: a cooldown does not make a position look known.
+type neighbor struct {
+	id        ids.NodeID
+	facets    facet
 	depth     uint16 // DAG depth label; wire.NoDepth if unknown
 	pathHasMe bool   // tree: the last path seen from this peer contains us
 	pathKnown bool
+	// parentIsMe reports that the peer's last piggyback listed us among
+	// its parents — adopting it would close a direct two-node cycle.
+	parentIsMe bool
 	// lastHop is the peer's upstream node in the last path seen from it
 	// (tree mode). Repair uses it to refuse candidates that were fed by the
 	// node that just failed: two siblings of a dead parent would otherwise
 	// adopt each other on equally-stale knowledge and close a silent cycle
 	// that carries no data — invisible to the exact path check, and, with
 	// piggybacks disabled, to the stall detector too.
-	lastHop ids.NodeID
-	uptime  time.Duration
-	degree  int
-	at      time.Time
-	// parentIsMe reports that the peer's last piggyback listed us among
-	// its parents — adopting it would close a direct two-node cycle.
-	parentIsMe bool
+	lastHop    ids.NodeID
+	uptime     time.Duration
+	degree     int       // -1 if unknown
+	adoptedAt  time.Time // when the peer became a parent (with fParent)
+	firstHeard time.Time // first data reception; zero if none yet
+	// cooldownUntil bars a peer dropped by cycle detection or stall repair
+	// from proactive re-adoption until that instant.
+	cooldownUntil time.Time
 }
 
 // bufferedMsg is one retained message for retransmission.
@@ -141,6 +159,13 @@ func (w *seqWindow) compact(contig uint32) {
 }
 
 // stream is the per-stream protocol state of one node.
+//
+// Per-peer state is one table, nbrs: ascending by id and one record per
+// peer, so every walk is in a run-stable order. info creates a record,
+// forget removes it when the peer leaves the view; in between, set
+// membership is a facet bit and every other field starts out unknown. A
+// *neighbor points into the table and an insert moves records: no pointer
+// is held across a call that can reach info for another peer.
 type stream struct {
 	id     wire.StreamID
 	source bool
@@ -155,13 +180,10 @@ type stream struct {
 	sparseN    int       // population of sparse (for DeliveredCount)
 
 	// --- structure state ---
-	parents     map[ids.NodeID]time.Time // parent -> adoption time
-	inactiveIn  *ids.Set                 // inbound links we deactivated
-	outInactive *ids.Set                 // outbound links peers deactivated (or symmetric)
-	depth       uint16                   // own DAG depth label (wire.NoDepth = undefined)
-	myPath      []ids.NodeID             // path from source to us incl. us (tree)
-	firstHeard  map[ids.NodeID]time.Time // first data reception per neighbor
-	peers       map[ids.NodeID]*peerInfo // last known structural info per neighbor
+	nbrs     []neighbor
+	nParents int          // records with fParent
+	depth    uint16       // own DAG depth label (wire.NoDepth = undefined)
+	myPath   []ids.NodeID // path from source to us incl. us (tree)
 
 	// --- repair state ---
 	orphanedAt    time.Time // non-zero while disconnected from the structure
@@ -175,9 +197,6 @@ type stream struct {
 	lastDeliveredAt time.Time
 	// lastSwitch rate-limits strategy-driven parent switches.
 	lastSwitch time.Time
-	// cooldown bars peers dropped by cycle detection or stall repair from
-	// proactive re-adoption until the stored instant.
-	cooldown map[ids.NodeID]time.Time
 	// graceParent is the previous parent during a make-before-break
 	// switch: its inbound link stays active until graceUntil so the node
 	// can revert if the new parent turns out to sit in its own subtree.
@@ -199,32 +218,14 @@ type stream struct {
 	blobsDelivered uint64
 	blobStats      BlobStats
 
-	// parentScratch backs parentIDs: parent sets are tiny but read on hot
-	// paths (piggyback encode, duplicate handling), so the sorted view is
-	// rebuilt into a reused buffer. Callers must not retain it.
-	parentScratch []ids.NodeID
-
 	// --- construction-time tracking (Figure 13) ---
 	firstDeactivateAt time.Time
 	constructedAt     time.Time
 }
 
-// neighborHint presizes the per-neighbor maps: the expanded active view of
-// the paper's configurations fits without a rehash, and thousands of
-// streams × neighbors no longer pay incremental growth churn.
-const neighborHint = 16
-
-func newStream(id wire.StreamID) *stream {
-	return &stream{
-		id:          id,
-		parents:     make(map[ids.NodeID]time.Time, 4),
-		inactiveIn:  ids.NewSet(),
-		outInactive: ids.NewSet(),
-		depth:       wire.NoDepth,
-		firstHeard:  make(map[ids.NodeID]time.Time, neighborHint),
-		peers:       make(map[ids.NodeID]*peerInfo, neighborHint),
-		cooldown:    make(map[ids.NodeID]time.Time, 4),
-	}
+// newStream returns an empty stream with room for the active view's peers.
+func newStream(id wire.StreamID, neighbors int) *stream {
+	return &stream{id: id, depth: wire.NoDepth, nbrs: make([]neighbor, 0, neighbors)}
 }
 
 // isDelivered reports whether seq has been delivered already.
@@ -284,6 +285,9 @@ func (s *stream) gapsBelow(upTo uint32, max int) (lo, hi uint32, any bool) {
 // remember stores a message for possible retransmission.
 func (s *stream) remember(seq uint32, payload []byte, cap int) {
 	msg := bufferedMsg{seq: seq, payload: payload}
+	if s.buffer == nil {
+		s.buffer = make([]bufferedMsg, 0, cap)
+	}
 	if len(s.buffer) < cap {
 		s.buffer = append(s.buffer, msg)
 		s.bufHead = len(s.buffer) % cap
@@ -303,46 +307,93 @@ func (s *stream) lookup(seq uint32) ([]byte, bool) {
 	return nil, false
 }
 
-// info returns (allocating if needed) the structural info record for peer.
-func (s *stream) info(peer ids.NodeID) *peerInfo {
-	pi, ok := s.peers[peer]
-	if !ok {
-		pi = &peerInfo{depth: wire.NoDepth, degree: -1}
-		s.peers[peer] = pi
+// find returns the index of peer's record or, with false, of where it goes:
+// a scan, for a handful of records.
+func (s *stream) find(peer ids.NodeID) (int, bool) {
+	for i := range s.nbrs {
+		if id := s.nbrs[i].id; id >= peer {
+			return i, id == peer
+		}
 	}
-	return pi
+	return len(s.nbrs), false
+}
+
+// known returns peer's record, nil if there is none.
+func (s *stream) known(peer ids.NodeID) *neighbor {
+	if i, ok := s.find(peer); ok {
+		return &s.nbrs[i]
+	}
+	return nil
+}
+
+// info returns peer's record, inserting a blank one if there is none, which
+// moves the records behind it and may move the table.
+func (s *stream) info(peer ids.NodeID) *neighbor {
+	i, ok := s.find(peer)
+	if !ok {
+		s.nbrs = slices.Insert(s.nbrs, i, neighbor{id: peer, depth: wire.NoDepth, degree: -1})
+	}
+	return &s.nbrs[i]
+}
+
+// has reports whether peer is in any of the sets f.
+func (s *stream) has(peer ids.NodeID, f facet) bool {
+	nb := s.known(peer)
+	return nb != nil && nb.facets&f != 0
+}
+
+// unset takes peer out of the sets f.
+func (s *stream) unset(peer ids.NodeID, f facet) {
+	if nb := s.known(peer); nb != nil {
+		nb.facets &^= f
+	}
 }
 
 // isParent reports whether peer currently feeds this stream.
-func (s *stream) isParent(peer ids.NodeID) bool {
-	_, ok := s.parents[peer]
-	return ok
-}
+func (s *stream) isParent(peer ids.NodeID) bool { return s.has(peer, fParent) }
 
-// parentIDs returns the current parents, ascending, in a reused buffer that
-// is valid until the next parentIDs call on this stream. Callers that hand
-// the slice out (the public API) must clone it.
-func (s *stream) parentIDs() []ids.NodeID {
-	out := s.parentScratch[:0]
-	for id := range s.parents {
-		out = append(out, id)
+// drop takes peer out of the parent set and reports whether it was in it.
+func (s *stream) drop(peer ids.NodeID) bool {
+	nb := s.known(peer)
+	was := nb != nil && nb.facets&fParent != 0
+	if was {
+		nb.facets &^= fParent
+		s.nParents--
 	}
-	ids.Sort(out)
-	s.parentScratch = out
-	return out
+	return was
 }
 
-// forget wipes a departed neighbor from all per-peer maps (not the parent
-// set; callers handle that for repair accounting).
+// appendParents appends the current parents to dst, ascending.
+func (s *stream) appendParents(dst []ids.NodeID) []ids.NodeID {
+	for i := range s.nbrs {
+		if s.nbrs[i].facets&fParent != 0 {
+			dst = append(dst, s.nbrs[i].id)
+		}
+	}
+	return dst
+}
+
+// firstParent returns the lowest parent id, ids.Nil without parents.
+func (s *stream) firstParent() ids.NodeID {
+	for i := range s.nbrs {
+		if s.nbrs[i].facets&fParent != 0 {
+			return s.nbrs[i].id
+		}
+	}
+	return ids.Nil
+}
+
+// forget wipes all that is known about a departed neighbor except that it is
+// a parent (callers handle that for repair accounting).
 func (s *stream) forget(peer ids.NodeID) {
-	delete(s.firstHeard, peer)
-	delete(s.peers, peer)
-	delete(s.cooldown, peer)
-	s.inactiveIn.Remove(peer)
-	s.outInactive.Remove(peer)
-}
-
-// pathContains reports whether path includes id.
-func pathContains(path []ids.NodeID, id ids.NodeID) bool {
-	return ids.Contains(path, id)
+	i, ok := s.find(peer)
+	if !ok {
+		return
+	}
+	parent, since := s.nbrs[i].facets&fParent, s.nbrs[i].adoptedAt
+	s.nbrs = slices.Delete(s.nbrs, i, i+1)
+	if parent != 0 {
+		nb := s.info(peer) // a blank record again
+		nb.facets, nb.adoptedAt = parent, since
+	}
 }

@@ -361,7 +361,8 @@ func (p *Protocol) maybePromote() {
 	if p.stopped || p.promotionInFlight || len(p.active) >= p.cfg.ActiveSize {
 		return
 	}
-	candidates := p.passive.Snapshot()
+	candidates := p.passive.AppendSorted(p.scratch[:0])
+	p.scratch = candidates[:0]
 	// Filter out nodes we are already dialing.
 	filtered := candidates[:0]
 	for _, c := range candidates {

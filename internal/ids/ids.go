@@ -85,103 +85,76 @@ func Sort(s []NodeID) {
 	slices.Sort(s)
 }
 
-// AppendSorted appends the set's members to dst in ascending order and
-// returns the extended slice — the allocation-free variant of Snapshot for
-// hot paths that reuse a scratch buffer.
-func (s *Set) AppendSorted(dst []NodeID) []NodeID {
-	start := len(dst)
-	for id := range s.m {
-		dst = append(dst, id)
-	}
-	slices.Sort(dst[start:])
-	return dst
-}
-
 // Contains reports whether s contains id.
-func Contains(s []NodeID, id NodeID) bool {
-	for _, v := range s {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
+func Contains(s []NodeID, id NodeID) bool { return slices.Contains(s, id) }
 
 // Clone returns a copy of s, or nil if s is empty.
 func Clone(s []NodeID) []NodeID {
 	if len(s) == 0 {
 		return nil
 	}
-	out := make([]NodeID, len(s))
-	copy(out, s)
-	return out
+	return slices.Clone(s)
 }
 
 // Remove returns s with the first occurrence of id removed, preserving order.
 // The input slice is modified.
 func Remove(s []NodeID, id NodeID) []NodeID {
-	for i, v := range s {
-		if v == id {
-			return append(s[:i], s[i+1:]...)
-		}
+	if i := slices.Index(s, id); i >= 0 {
+		return slices.Delete(s, i, i+1)
 	}
 	return s
 }
 
-// Set is a small set of node identifiers with deterministic snapshotting.
+// Set is a small set of node identifiers, kept as an ascending slice: views
+// and child sets hold a few dozen members at most, every reader wants them
+// in order, and a slice costs a fraction of a map's buckets per node.
 type Set struct {
-	m map[NodeID]struct{}
+	ids []NodeID // ascending, no duplicates
 }
 
 // NewSet returns a set pre-populated with the given members.
 func NewSet(members ...NodeID) *Set {
-	s := &Set{m: make(map[NodeID]struct{}, len(members))}
+	s := &Set{}
 	for _, id := range members {
-		s.m[id] = struct{}{}
+		s.Add(id)
 	}
 	return s
 }
 
 // Add inserts id and reports whether it was absent.
 func (s *Set) Add(id NodeID) bool {
-	if _, ok := s.m[id]; ok {
-		return false
+	i, ok := slices.BinarySearch(s.ids, id)
+	if !ok {
+		s.ids = slices.Insert(s.ids, i, id)
 	}
-	s.m[id] = struct{}{}
-	return true
+	return !ok
 }
 
 // Remove deletes id and reports whether it was present.
 func (s *Set) Remove(id NodeID) bool {
-	if _, ok := s.m[id]; !ok {
-		return false
+	i, ok := slices.BinarySearch(s.ids, id)
+	if ok {
+		s.ids = slices.Delete(s.ids, i, i+1)
 	}
-	delete(s.m, id)
-	return true
+	return ok
 }
 
 // Has reports membership.
 func (s *Set) Has(id NodeID) bool {
-	_, ok := s.m[id]
+	_, ok := slices.BinarySearch(s.ids, id)
 	return ok
 }
 
 // Len returns the number of members.
-func (s *Set) Len() int { return len(s.m) }
+func (s *Set) Len() int { return len(s.ids) }
 
-// Snapshot returns the members in ascending order.
-func (s *Set) Snapshot() []NodeID {
-	out := make([]NodeID, 0, len(s.m))
-	for id := range s.m {
-		out = append(out, id)
-	}
-	Sort(out)
-	return out
-}
+// Snapshot returns a copy of the members, ascending.
+func (s *Set) Snapshot() []NodeID { return s.AppendSorted(make([]NodeID, 0, len(s.ids))) }
+
+// AppendSorted appends the set's members to dst in ascending order and
+// returns the extended slice — the allocation-free variant of Snapshot for
+// hot paths that reuse a scratch buffer. The result never aliases the set.
+func (s *Set) AppendSorted(dst []NodeID) []NodeID { return append(dst, s.ids...) }
 
 // Clear removes all members.
-func (s *Set) Clear() {
-	for id := range s.m {
-		delete(s.m, id)
-	}
-}
+func (s *Set) Clear() { s.ids = s.ids[:0] }

@@ -1,6 +1,8 @@
 package ids
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -121,5 +123,75 @@ func TestSet(t *testing.T) {
 	s.Clear()
 	if s.Len() != 0 {
 		t.Error("Clear")
+	}
+}
+
+// TestSetAgainstMapModel drives a Set and a map through the same random
+// operations: same answers throughout, snapshots ascending and detached.
+func TestSetAgainstMapModel(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for round := 0; round < 200; round++ {
+		s, model := NewSet(), map[NodeID]bool{}
+		for op := 0; op < 300; op++ {
+			id := NodeID(1 + r.Intn(40))
+			switch r.Intn(10) {
+			case 0, 1, 2, 3:
+				if got, want := s.Add(id), !model[id]; got != want {
+					t.Fatalf("Add(%d) = %v, want %v", id, got, want)
+				}
+				model[id] = true
+			case 4, 5, 6:
+				if got, want := s.Remove(id), model[id]; got != want {
+					t.Fatalf("Remove(%d) = %v, want %v", id, got, want)
+				}
+				delete(model, id)
+			case 7, 8:
+				if got := s.Has(id); got != model[id] {
+					t.Fatalf("Has(%d) = %v, want %v", id, got, model[id])
+				}
+			case 9:
+				if r.Intn(20) == 0 {
+					s.Clear()
+					clear(model)
+				}
+			}
+			if s.Len() != len(model) {
+				t.Fatalf("Len = %d, want %d", s.Len(), len(model))
+			}
+			want := make([]NodeID, 0, len(model))
+			for id := range model {
+				want = append(want, id)
+			}
+			Sort(want)
+			snap := s.Snapshot()
+			if !slices.Equal(snap, want) {
+				t.Fatalf("Snapshot = %v, want %v", snap, want)
+			}
+			// Both copies are the caller's: scribbling over them, and
+			// appending to them, must leave the set as it was.
+			app := s.AppendSorted([]NodeID{99})
+			if app[0] != 99 || !slices.Equal(app[1:], want) {
+				t.Fatalf("AppendSorted = %v, want 99 then %v", app, want)
+			}
+			for _, out := range [][]NodeID{snap, s.AppendSorted(nil)} {
+				out = append(out, 1000, 1001)
+				for i := range out {
+					out[i] = 77
+				}
+			}
+			if got := s.Snapshot(); !slices.Equal(got, want) {
+				t.Fatalf("set changed through a returned slice: %v, want %v", got, want)
+			}
+		}
+	}
+}
+
+func TestNewSetDropsDuplicates(t *testing.T) {
+	s := NewSet(5, 3, 5, 1, 3, 5)
+	if got := s.Snapshot(); !slices.Equal(got, []NodeID{1, 3, 5}) {
+		t.Errorf("NewSet with duplicates = %v, want [1 3 5]", got)
+	}
+	if s.Add(5) || !s.Remove(5) || s.Has(5) {
+		t.Error("a duplicated member is held more than once")
 	}
 }

@@ -127,22 +127,25 @@ func (BaseProto) Stop() {}
 // order of Start/ConnUp/ConnDown/Stop fan-out (lower layers first).
 type Mux struct {
 	protos []Proto
-	byKind map[wire.Kind]Proto
+	// byKind[k] is one more than the index in protos of kind k's owner, 0
+	// for an unowned kind; it ends at the highest registered kind.
+	byKind []uint8
 }
 
 // NewMux returns an empty Mux.
-func NewMux() *Mux {
-	return &Mux{byKind: make(map[wire.Kind]Proto)}
-}
+func NewMux() *Mux { return &Mux{} }
 
 // Register adds a sub-protocol and the kinds it owns.
 func (m *Mux) Register(p Proto, kinds ...wire.Kind) {
 	m.protos = append(m.protos, p)
 	for _, k := range kinds {
-		if _, dup := m.byKind[k]; dup {
+		if grow := int(k) + 1 - len(m.byKind); grow > 0 {
+			m.byKind = append(m.byKind, make([]uint8, grow)...)
+		}
+		if m.byKind[k] != 0 {
 			panic("node: kind registered twice: " + k.String())
 		}
-		m.byKind[k] = p
+		m.byKind[k] = uint8(len(m.protos))
 	}
 }
 
@@ -155,8 +158,8 @@ func (m *Mux) Start(env Env) {
 
 // Receive implements Handler.
 func (m *Mux) Receive(from ids.NodeID, msg wire.Message) {
-	if p, ok := m.byKind[msg.Kind()]; ok {
-		p.Receive(from, msg)
+	if k := int(msg.Kind()); k < len(m.byKind) && m.byKind[k] != 0 {
+		m.protos[m.byKind[k]-1].Receive(from, msg)
 	}
 }
 

@@ -27,6 +27,13 @@ func (r *recorder) Receive(from ids.NodeID, m wire.Message) {
 	*r.log = append(*r.log, r.name+":"+m.Kind().String())
 }
 
+// kindOnly is a message of an arbitrary kind; the Mux reads nothing else.
+type kindOnly wire.Kind
+
+func (k kindOnly) Kind() wire.Kind        { return wire.Kind(k) }
+func (kindOnly) AppendTo(b []byte) []byte { return b }
+func (kindOnly) WireSize() int            { return 1 }
+
 func TestMuxRoutesByKind(t *testing.T) {
 	var log []string
 	mux := NewMux()
@@ -37,7 +44,9 @@ func TestMuxRoutesByKind(t *testing.T) {
 
 	mux.Receive(1, wire.Join{})
 	mux.Receive(1, wire.Data{})
-	mux.Receive(1, wire.Rumor{}) // unowned kind: dropped silently
+	mux.Receive(1, wire.Rumor{})      // unowned kind past the last owned one: dropped silently
+	mux.Receive(1, wire.Disconnect{}) // unowned kind between owned ones
+	mux.Receive(1, kindOnly(255))     // the highest value a kind can take
 
 	want := []string{"a:Join", "b:Data"}
 	if len(log) != len(want) {
