@@ -330,6 +330,7 @@ func (s *shard) post(ev event) {
 	if ev.at < s.pub.Load() {
 		s.pub.Store(ev.at)
 	}
+	s.net.posts.Add(1) // after the lowering: see minPub
 	s.mbMu.Unlock()
 }
 
@@ -370,33 +371,34 @@ func (s *shard) updatePub() {
 // still send arrives at or after that peer's position + MinDelay, so events
 // strictly below safeTime can no longer be preempted.
 func (s *shard) safeTime() int64 {
-	m := posInf
-	for _, p := range s.net.shards {
-		if p == s {
-			continue
-		}
-		if v := p.pub.Load(); v < m {
-			m = v
-		}
-	}
-	la := s.net.lookaheadNS
+	m, la := s.net.minPub(s), s.net.lookaheadNS
 	if m >= posInf-la {
 		return posInf
 	}
 	return m + la
 }
 
-// pubMin returns the minimum published position across all node shards —
-// the span's quiesce test: once it reaches the barrier, no shard holds (or
-// can still receive) an event below it.
-func (n *Network) pubMin() int64 {
-	m := posInf
-	for _, s := range n.shards {
-		if v := s.pub.Load(); v < m {
-			m = v
+// minPub returns the earliest published position among the node shards
+// other than except, as of one instant. Positions are read one at a time,
+// and a shard read early can be posted to by one read late that has raised
+// its own position by then; so a scan counts only when no post completed
+// beside it. Such a scan is a snapshot: a shard stays at or below an event's
+// time from the post that brings it until it has run, and a post counts
+// itself after it lowers the position. With except == nil and the span's
+// barrier reached this is the quiesce test — no shard holds an event below
+// the barrier, and none can still receive one.
+func (n *Network) minPub(except *shard) int64 {
+	for {
+		posts, m := n.posts.Load(), posInf
+		for _, s := range n.shards {
+			if v := s.pub.Load(); s != except && v < m {
+				m = v
+			}
+		}
+		if n.posts.Load() == posts {
+			return m
 		}
 	}
-	return m
 }
 
 // flushMailboxes drains every shard's residual mailbox into its heap —
@@ -586,16 +588,6 @@ func (s *shard) runLeg(barrier int64) {
 		did := false
 		for len(s.heap) > 0 {
 			head := s.events[s.heap[0]].at
-			// A peer may have posted to our mailbox since the last drain
-			// (it posts before raising its own published position). Our own
-			// published position is min(heap head, mailbox min): if it is
-			// below the head, an earlier mailbox event is pending — fold it
-			// into the heap before executing past it.
-			if s.pub.Load() < head {
-				s.drainMailbox()
-				s.updatePub()
-				continue
-			}
 			// The safe time must be re-read before every event, not once
 			// per wakeup: our own sends lower the receiving peer's position,
 			// and the peer's reaction can arrive back here one lookahead
@@ -608,6 +600,18 @@ func (s *shard) runLeg(barrier int64) {
 			limit := s.safeTime()
 			if limit > barrier {
 				limit = barrier
+			}
+			// A peer may have posted to our mailbox since the last drain
+			// (it posts before raising its own published position, so what
+			// the safe time above no longer covers is here by now — this
+			// check comes second). Our own published position is min(heap
+			// head, mailbox min): if it is below the head, an earlier
+			// mailbox event is pending — fold it into the heap before
+			// executing past it.
+			if s.pub.Load() < head {
+				s.drainMailbox()
+				s.updatePub()
+				continue
 			}
 			if head >= limit {
 				break
@@ -623,7 +627,7 @@ func (s *shard) runLeg(barrier int64) {
 		}
 		if !did {
 			s.updatePub()
-			if n.pubMin() >= barrier {
+			if n.minPub(nil) >= barrier {
 				return
 			}
 			runtime.Gosched()

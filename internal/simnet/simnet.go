@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ids"
@@ -241,6 +242,9 @@ type Network struct {
 	closed         bool
 	workCh         []chan int64
 	doneCh         chan struct{}
+	// posts counts cross-shard posts: a scan of the shards' positions is a
+	// snapshot only when no post completed beside it (minPub).
+	posts atomic.Uint64
 
 	// execProbe, when set (tests only), observes every event executed on a
 	// worker leg before it runs; it is called from shard goroutines.
