@@ -5,8 +5,10 @@ package brisa_test
 // can close a parent cycle of length >= 3 that the path-embedding check
 // misses (every member's embedded path predates the concurrent adoptions),
 // stranding the subtree below it. Found by scanning seeds of a
-// 64-node/3-simultaneous-crash workload; seed 161 closes a 3-cycle that
-// survives to the end of the run and stalls delivery.
+// 64-node/3-simultaneous-crash workload (TestScanSoftRepairCycleSeeds, about
+// 0.1 s per seed); seed 129 closes a 3-cycle that survives to the end of the
+// run and stalls 12 of the 52 alive nodes (as do 170 and 244, of seeds
+// 1..300; seed 161 did until the node RNG became a splitmix64 stream).
 //
 // This test asserts that the bug REPRODUCES, pinning the exact failure so it
 // cannot mutate silently. When the repair protocol gains a fix (e.g. cycle
@@ -15,6 +17,7 @@ package brisa_test
 // fix's regression test.
 
 import (
+	"flag"
 	"testing"
 	"time"
 
@@ -58,9 +61,17 @@ func parentCycles(c *brisa.Cluster, stream brisa.StreamID) [][]brisa.NodeID {
 	return cycles
 }
 
-func TestKnownIssueSoftRepairCycleWithoutPiggyback(t *testing.T) {
+// cycleSeed is the seed the guard is pinned on (see the header comment).
+const cycleSeed = 129
+
+var scanCycleSeeds = flag.Int("scan-cycle-seeds", 0, "scan seeds 1..N for a soft-repair parent cycle that stalls nodes (TestScanSoftRepairCycleSeeds)")
+
+// softRepairCycleRun runs the 64-node, piggyback-free, three-simultaneous-
+// crashes workload on one seed and returns the longest parent cycle left at
+// the end and how many alive nodes miss messages.
+func softRepairCycleRun(t *testing.T, seed int64) (longest []brisa.NodeID, stalled, alive int) {
 	c := newTestCluster(t, brisa.ClusterConfig{
-		Nodes: 64, Seed: 161,
+		Nodes: 64, Seed: seed,
 		PeerConfig: func(id brisa.NodeID) brisa.Config {
 			return brisa.Config{
 				Mode: brisa.ModeTree, ViewSize: 4,
@@ -70,6 +81,7 @@ func TestKnownIssueSoftRepairCycleWithoutPiggyback(t *testing.T) {
 			}
 		},
 	})
+	defer c.Close()
 	c.Bootstrap()
 	source := c.Peers()[0]
 	publishStream(c, source, 1, 100, 200*time.Millisecond, 256)
@@ -84,19 +96,40 @@ func TestKnownIssueSoftRepairCycleWithoutPiggyback(t *testing.T) {
 	}
 	c.Net.RunFor(100*200*time.Millisecond + 15*time.Second)
 
-	var longest []brisa.NodeID
 	for _, cyc := range parentCycles(c, 1) {
 		if len(cyc) > len(longest) {
 			longest = cyc
 		}
 	}
-	stalled := 0
 	for _, p := range c.AlivePeers() {
 		if p.DeliveredCount(1) < 100 {
 			stalled++
 		}
 	}
-	t.Logf("cycle=%v stalled=%d of %d alive", longest, stalled, len(c.AlivePeers()))
+	return longest, stalled, len(c.AlivePeers())
+}
+
+// TestScanSoftRepairCycleSeeds is how the guard's seed is found: every
+// change of the random streams (a new node RNG, a protocol fix that draws
+// differently) moves the defect to other seeds. Run
+//
+//	go test -run TestScanSoftRepairCycleSeeds -scan-cycle-seeds 300 -v .
+//
+// and pin one of the seeds it prints in the guard below.
+func TestScanSoftRepairCycleSeeds(t *testing.T) {
+	if *scanCycleSeeds <= 0 {
+		t.Skip("a seed search, not a check: pass -scan-cycle-seeds N")
+	}
+	for seed := int64(1); seed <= int64(*scanCycleSeeds); seed++ {
+		if cyc, stalled, alive := softRepairCycleRun(t, seed); len(cyc) >= 3 && stalled > 0 {
+			t.Logf("seed %d: cycle=%v stalled=%d of %d alive", seed, cyc, stalled, alive)
+		}
+	}
+}
+
+func TestKnownIssueSoftRepairCycleWithoutPiggyback(t *testing.T) {
+	longest, stalled, alive := softRepairCycleRun(t, cycleSeed)
+	t.Logf("cycle=%v stalled=%d of %d alive", longest, stalled, alive)
 
 	// The defect, pinned. A fix makes both checks fail — flip them then.
 	if len(longest) < 3 {

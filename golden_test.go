@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -241,5 +242,19 @@ func TestGoldenReport(t *testing.T) {
 				t.Fatalf("report diverged from golden file %s\ngot:\n%s\nwant:\n%s", gc.file, first, want)
 			}
 		})
+	}
+}
+
+// TestZeroProcessingDelayChangesNothing pins the node-stream seeding rule at
+// the Report level: every node stream starts at a hash of (seed, node,
+// purpose), so giving each node a second stream — what setting
+// ProcessingDelay does — leaves every protocol stream, and with a zero delay
+// the whole run, where it was.
+func TestZeroProcessingDelayChangesNothing(t *testing.T) {
+	sc := goldenCases()[0].sc
+	want := runGolden(t, sc, 1)
+	sc.Topology.ProcessingDelay = func(*rand.Rand) time.Duration { return 0 }
+	if got := runGolden(t, sc, 1); !bytes.Equal(got, want) {
+		t.Fatalf("a zero ProcessingDelay changed the 64-node report:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

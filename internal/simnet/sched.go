@@ -729,10 +729,17 @@ func (n *Network) Lookahead() time.Duration {
 
 // ------------------------------------------------------------ hash source
 
-// hashSource is a splitmix64 rand.Source64. The engine re-seeds it per
+// hashSource is a splitmix64 rand.Source64: 8 bytes of state where
+// math/rand's own source holds 607 words. The engine re-seeds one per
 // latency draw from a hash of (seed, from, to, counter), making every draw
 // a pure function of the pair's history — the property that keeps sharded
-// execution equivalent to sequential execution.
+// execution equivalent to sequential execution — and gives every node one
+// of its own per purpose (nodeRand).
+//
+// All splitmix64 streams walk the same 2^64 cycle from different offsets,
+// so two of them can overlap: N streams of L draws each, started at hashed
+// (uniform) offsets, overlap somewhere with probability about N²·L / 2^64
+// — 5·10⁻⁴ for 100k nodes drawing 10⁶ times each.
 type hashSource struct{ s uint64 }
 
 func (h *hashSource) Uint64() uint64 {
@@ -763,6 +770,21 @@ func mixLat(seed int64, from, to ids.NodeID, counter uint64) uint64 {
 	h = mix64(h ^ uint64(from))
 	h = mix64(h ^ uint64(to))
 	return mix64(h ^ counter)
+}
+
+// The purposes a node holds a random stream for.
+const (
+	nodeProto = iota // node.Env.Rand: the protocol's draws
+	nodeDelay        // Options.ProcessingDelay's draws
+)
+
+// nodeRand returns node id's random stream for one purpose. It starts at a
+// pure hash of (seed, id, purpose), in a domain of its own beside mixLat's:
+// what a node draws depends neither on how many nodes booted before it nor
+// on what the driver drew from Network.Rand in between.
+func nodeRand(seed int64, id ids.NodeID, purpose uint64) *rand.Rand {
+	h := mix64(uint64(seed) ^ 0x6a09e667f3bcc909)
+	return rand.New(&hashSource{s: mix64(mix64(h^uint64(id)) ^ purpose)})
 }
 
 // defaultParallelMin scales the inline-span threshold with the shard

@@ -8,10 +8,12 @@
 // encoded size of every message.
 //
 // Determinism: every latency draw is a pure function of (seed, sender,
-// receiver, per-sender draw counter), each node's protocol RNG is seeded at
-// boot, and simultaneous events are ordered by (time, scheduling node,
-// per-node sequence number) — so a run is a pure function of
-// (seed, workload). Structural tests rely on this.
+// receiver, per-sender draw counter), each node's protocol RNG is an 8-byte
+// splitmix64 stream starting at a pure hash of (seed, node id, purpose) —
+// not of how many nodes booted or what the driver drew before it — and
+// simultaneous events are ordered by (time, scheduling node, per-node
+// sequence number) — so a run is a pure function of (seed, workload).
+// Structural tests rely on this.
 //
 // Engine: virtual time is an int64 nanosecond offset from the epoch, and
 // events live in index-tracking binary heaps over slab-allocated arenas with
@@ -617,9 +619,9 @@ func (n *Network) AddNode(id ids.NodeID, h node.Handler) {
 		shard:   n.shards[len(n.order)%len(n.shards)],
 		conns:   make(map[ids.NodeID]*halfConn),
 	}
-	sn.env = &env{net: n, node: sn, rng: rand.New(rand.NewSource(n.rng.Int63()))}
+	sn.env = &env{net: n, node: sn, rng: nodeRand(n.opts.Seed, id, nodeProto)}
 	if n.opts.ProcessingDelay != nil {
-		sn.delayRng = rand.New(rand.NewSource(n.rng.Int63()))
+		sn.delayRng = nodeRand(n.opts.Seed, id, nodeDelay)
 	}
 	n.nodes[id] = sn
 	n.order = append(n.order, id)
