@@ -248,8 +248,12 @@ func TestDelayAwareReducesRoutingDelay(t *testing.T) {
 		publishedAt := make(map[uint32]time.Time)
 		var c *brisa.Cluster
 		c = newTestCluster(t, brisa.ClusterConfig{
-			Nodes:           150,
-			Seed:            7,
+			Nodes: 150,
+			Seed:  7,
+			// OnDeliver reads c.Net.Now(), the driver's clock: only on the
+			// sequential engine is that the delivery's own instant (between
+			// two publishes a sharded run would read the span's start).
+			Workers:         1,
 			Latency:         simnet.PlanetLabSites(15),
 			NodeBandwidth:   250_000, // ~2 Mbps uplinks
 			ProcessingDelay: simnet.LogNormalDelay(15*time.Millisecond, 1.0),

@@ -78,10 +78,19 @@ func TestQuickStreamDeliveryInvariant(t *testing.T) {
 	}
 }
 
+// deliver is what Publish and onData do with a message: a new one is marked
+// delivered and remembered, a duplicate is neither.
+func deliver(st *stream, seq uint32, payload []byte, cap int) {
+	if !st.isDelivered(seq) {
+		st.markDelivered(seq)
+		st.remember(seq, payload, cap)
+	}
+}
+
 func TestBufferRing(t *testing.T) {
 	st := newStream(1, 0)
 	for seq := uint32(1); seq <= 10; seq++ {
-		st.remember(seq, []byte{byte(seq)}, 4)
+		deliver(st, seq, []byte{byte(seq)}, 4)
 	}
 	// Only the last 4 survive.
 	for seq := uint32(1); seq <= 6; seq++ {
@@ -94,6 +103,106 @@ func TestBufferRing(t *testing.T) {
 		if !ok || payload[0] != byte(seq) {
 			t.Errorf("seq %d missing from buffer", seq)
 		}
+	}
+}
+
+// ringPayload is the payload the ring tests deliver as seq: its number, or
+// nothing at all for every fifth one (§II-C's empty message is a message).
+func ringPayload(seq uint32) []byte {
+	if seq%5 == 0 {
+		return nil
+	}
+	return []byte{byte(seq), byte(seq >> 8), byte(seq >> 16), byte(seq >> 24)}
+}
+
+// TestQuickRingMatchesModel drives the direct-mapped ring against the plain
+// statement of what it holds — the delivered seqs less than cap behind the
+// newest — under in-order and out-of-order arrival, gaps filled late,
+// arrivals cap or more behind the newest (not stored, and evicting nothing),
+// duplicates, empty payloads and a first seq other than 1.
+func TestQuickRingMatchesModel(t *testing.T) {
+	f := func(seed int64, capSel, steps uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		cap := 1 + int(capSel)%9
+		first := uint32(r.Intn(200))
+		st := newStream(1, 0)
+		model := map[uint32][]byte{} // every seq delivered
+		newest := int64(first)
+		for i := 0; i <= int(steps); i++ {
+			seq := int64(first)
+			if i > 0 {
+				switch r.Intn(8) {
+				case 0, 1, 2: // in order
+					seq = newest + 1
+				case 3: // ahead, leaving a gap
+					seq = newest + 1 + int64(r.Intn(2*cap))
+				case 4: // the oldest gap, however late
+					seq = int64(st.contigUpTo)
+				case 5: // cap or more behind the newest
+					seq = newest - int64(cap+r.Intn(cap+1))
+				default: // anywhere near the window, duplicates included
+					seq = newest + 2 - int64(r.Intn(2*cap+2))
+				}
+			}
+			seq = max(seq, 0)
+			if _, dup := model[uint32(seq)]; !dup && seq >= int64(first) {
+				model[uint32(seq)] = ringPayload(uint32(seq))
+				newest = max(newest, seq)
+			}
+			deliver(st, uint32(seq), ringPayload(uint32(seq)), cap)
+
+			for probe := max(newest-int64(3*cap), 0); probe <= newest+2; probe++ {
+				want, held := model[uint32(probe)]
+				held = held && newest-probe < int64(cap)
+				got, ok := st.lookup(uint32(probe))
+				if ok != held || ok && string(got) != string(want) {
+					t.Logf("cap %d first %d newest %d: lookup(%d) = %v %v, want %v %v",
+						cap, first, newest, probe, got, ok, want, held)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMsgRequestAroundWindowEdge asks a node that delivered 1..200 with two
+// holes for the largest range a request may name, laid across both edges of
+// its 64-message window: it retransmits what it holds, ascending, and stays
+// silent about the evicted, the missing and the not yet published.
+func TestMsgRequestAroundWindowEdge(t *testing.T) {
+	p, net, msg := newSettledTree(t, 3)
+	net.queue = nil
+	for seq := uint32(2); seq <= 200; seq++ {
+		if seq != 150 && seq != 190 {
+			msg.Seq, msg.Payload = seq, ringPayload(seq)
+			p.Receive(2, msg)
+		}
+	}
+	net.queue = nil // the relays to child 3
+	window := uint32(p.cfg.BufferSize)
+	p.Receive(3, wire.MsgRequest{Stream: 1, From: 41, To: 298}) // 257 seqs: refused
+	if len(net.queue) != 0 {
+		t.Fatalf("a 257-seq request was answered with %d messages", len(net.queue))
+	}
+	p.Receive(3, wire.MsgRequest{Stream: 1, From: 41, To: 297})
+	want := 201 - window
+	for _, f := range net.queue {
+		d, ok := f.m.(wire.Data)
+		for want == 150 || want == 190 {
+			want++
+		}
+		if !ok || f.to != 3 || d.Seq != want || string(d.Payload) != string(ringPayload(want)) {
+			t.Fatalf("retransmitted %v to %v, want Data seq %d", f.m, f.to, want)
+		}
+		want++
+	}
+	if want != 201 || p.Metrics().Retransmissions != uint64(window-2) {
+		t.Errorf("retransmitted up to seq %d (%d messages), want up to 200 (%d)",
+			want-1, p.Metrics().Retransmissions, window-2)
 	}
 }
 

@@ -48,12 +48,6 @@ type neighbor struct {
 	cooldownUntil time.Time
 }
 
-// bufferedMsg is one retained message for retransmission.
-type bufferedMsg struct {
-	seq     uint32
-	payload []byte
-}
-
 // seqWindow is a compacting bitset over the out-of-order delivered sequence
 // numbers above a stream's contiguous prefix. The previous representation —
 // map[uint32]struct{} — cost a heap-allocated bucket chain per gap and
@@ -176,6 +170,7 @@ type stream struct {
 	started    bool      // received at least one message (or is the source)
 	contigUpTo uint32    // every seq in [base, contigUpTo) is delivered
 	base       uint32    // first seq ever seen; history below it is not recovered
+	newest     uint32    // highest seq delivered
 	sparse     seqWindow // delivered seqs >= contigUpTo
 	sparseN    int       // population of sparse (for DeliveredCount)
 
@@ -204,8 +199,10 @@ type stream struct {
 	graceUntil  time.Time
 
 	// --- buffering ---
-	buffer  []bufferedMsg // ring, newest at bufHead-1
-	bufHead int
+	// ring keeps payloads for retransmission: slot seq % len(ring) holds
+	// seq iff seq was delivered here and is within len(ring) of newest —
+	// read off the delivery record, not the payload (empty is a message).
+	ring [][]byte
 
 	// --- blob state (see blob.go) ---
 	blobs map[uint32]*blobState // in-flight + retained blobs, lazily allocated
@@ -248,13 +245,13 @@ func (s *stream) isDelivered(seq uint32) bool {
 func (s *stream) markDelivered(seq uint32) {
 	if !s.started {
 		s.started = true
-		s.base = seq
-		s.contigUpTo = seq
+		s.base, s.contigUpTo, s.newest = seq, seq, seq
 		s.sparse.reset(seq)
 	}
 	if s.isDelivered(seq) {
 		return
 	}
+	s.newest = max(s.newest, seq)
 	if seq == s.contigUpTo {
 		s.contigUpTo++
 		for s.sparse.has(s.contigUpTo) {
@@ -282,29 +279,24 @@ func (s *stream) gapsBelow(upTo uint32, max int) (lo, hi uint32, any bool) {
 	return lo, hi, true
 }
 
-// remember stores a message for possible retransmission.
+// remember stores a just-delivered message for possible retransmission,
+// unless it arrived cap or more behind the newest: its slot is a newer one's.
 func (s *stream) remember(seq uint32, payload []byte, cap int) {
-	msg := bufferedMsg{seq: seq, payload: payload}
-	if s.buffer == nil {
-		s.buffer = make([]bufferedMsg, 0, cap)
+	if s.ring == nil {
+		s.ring = make([][]byte, cap)
 	}
-	if len(s.buffer) < cap {
-		s.buffer = append(s.buffer, msg)
-		s.bufHead = len(s.buffer) % cap
-		return
+	if s.newest-seq < uint32(cap) {
+		s.ring[seq%uint32(cap)] = payload
 	}
-	s.buffer[s.bufHead] = msg
-	s.bufHead = (s.bufHead + 1) % cap
 }
 
 // lookup finds a buffered message by seq.
 func (s *stream) lookup(seq uint32) ([]byte, bool) {
-	for i := range s.buffer {
-		if s.buffer[i].seq == seq {
-			return s.buffer[i].payload, true
-		}
+	n := uint32(len(s.ring))
+	if n == 0 || seq < s.base || s.newest-seq >= n || !s.isDelivered(seq) {
+		return nil, false
 	}
-	return nil, false
+	return s.ring[seq%n], true
 }
 
 // find returns the index of peer's record or, with false, of where it goes:

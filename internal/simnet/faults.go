@@ -257,7 +257,7 @@ func (n *Network) NodeFaultStats(id ids.NodeID) FaultStats {
 	return FaultStats{}
 }
 
-// Hash-stream salts. Distinct from the latency salt in mixLat (sched.go) and
+// Hash-stream salts. Distinct from the engine's own (sched.go) and
 // the planetLab salts (latency.go), so fault draws never correlate with
 // delay draws.
 const (
@@ -270,23 +270,6 @@ const (
 	fRDelayDraw  = 0x04
 	fDupDelay    = 0x05
 )
-
-// mixFault folds the simulation seed, the directed pair and the sender's
-// fault draw counter into one hash: the root of all per-message fault
-// decisions, in the image of mixLat.
-func mixFault(seed int64, from, to ids.NodeID, counter uint64) uint64 {
-	h := mix64(uint64(seed) ^ fStreamSalt)
-	h = mix64(h ^ uint64(from))
-	h = mix64(h ^ uint64(to))
-	return mix64(h ^ counter)
-}
-
-// mixDrop derives the receiver-side victim draw for DropRand.
-func mixDrop(seed int64, node ids.NodeID, counter uint64) uint64 {
-	h := mix64(uint64(seed) ^ fDropSalt)
-	h = mix64(h ^ uint64(node))
-	return mix64(h ^ counter)
-}
 
 // partSide reports whether id hashes onto partition p's minority side.
 func (n *Network) partSide(i int, id ids.NodeID) bool {
@@ -347,7 +330,7 @@ func (n *Network) bufAdmit(s *shard, to *simNode) bool {
 	}
 	var h uint64
 	if b.Policy == DropRand {
-		h = mixDrop(n.opts.Seed, to.id, to.dropSeq)
+		h = mixNode(n.opts.Seed, fDropSalt, to.id, to.dropSeq)
 		to.dropSeq++
 	}
 	evict, admit := bufVictim(b.Policy, len(to.inq), h)
@@ -397,7 +380,7 @@ func (n *Network) applyFaults(self *simNode, peer *simNode, arriveNS int64, ev e
 	if f.Loss == 0 && f.Duplicate == 0 && f.Reorder == 0 {
 		return arriveNS, true
 	}
-	h := mixFault(n.opts.Seed, self.id, peer.id, self.faultSeq)
+	h := mixPair(n.opts.Seed, fStreamSalt, self.id, peer.id, self.faultSeq)
 	self.faultSeq++
 	if f.Loss > 0 && unit(mix64(h^fLossDraw)) < f.Loss {
 		self.fstats.Lost++

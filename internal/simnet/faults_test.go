@@ -95,7 +95,7 @@ func TestBufVictimAgainstNaiveModel(t *testing.T) {
 		var q []int // bufVictim-driven model
 		var drops int
 		for m := 0; m < arrivals; m++ {
-			h := mixDrop(seed, 7, uint64(m))
+			h := mixNode(seed, fDropSalt, 7, uint64(m))
 			naive.push(m, policy, h)
 			if len(q) < capacity {
 				q = append(q, m)
@@ -160,20 +160,20 @@ func TestBufVictimAgainstNaiveModel(t *testing.T) {
 // their inputs, directionally distinct, and with draw rates that track the
 // configured probability.
 func TestMixFaultDeterminismAndRate(t *testing.T) {
-	if mixFault(7, 1, 2, 3) != mixFault(7, 1, 2, 3) {
-		t.Fatal("mixFault is not a pure function")
+	if mixPair(7, fStreamSalt, 1, 2, 3) != mixPair(7, fStreamSalt, 1, 2, 3) {
+		t.Fatal("mixPair is not a pure function")
 	}
-	if mixFault(7, 1, 2, 3) == mixFault(7, 2, 1, 3) {
-		t.Fatal("mixFault ignores direction")
+	if mixPair(7, fStreamSalt, 1, 2, 3) == mixPair(7, fStreamSalt, 2, 1, 3) {
+		t.Fatal("mixPair ignores direction")
 	}
-	if mixDrop(7, 1, 3) == mixFault(7, 1, 1, 3) {
+	if mixNode(7, fDropSalt, 1, 3) == mixPair(7, fStreamSalt, 1, 1, 3) {
 		t.Fatal("drop stream collides with the message stream")
 	}
 	for _, p := range []float64{0.01, 0.05, 0.2, 0.5} {
 		const draws = 200_000
 		hits := 0
 		for c := uint64(0); c < draws; c++ {
-			if unit(mix64(mixFault(42, 3, 9, c)^fLossDraw)) < p {
+			if unit(mix64(mixPair(42, fStreamSalt, 3, 9, c)^fLossDraw)) < p {
 				hits++
 			}
 		}

@@ -379,14 +379,12 @@ func (s *shard) safeTime() int64 {
 }
 
 // minPub returns the earliest published position among the node shards
-// other than except, as of one instant. Positions are read one at a time,
+// other than except, as of one instant: positions are read one at a time,
 // and a shard read early can be posted to by one read late that has raised
-// its own position by then; so a scan counts only when no post completed
-// beside it. Such a scan is a snapshot: a shard stays at or below an event's
-// time from the post that brings it until it has run, and a post counts
-// itself after it lowers the position. With except == nil and the span's
-// barrier reached this is the quiesce test — no shard holds an event below
-// the barrier, and none can still receive one.
+// its own position by then, so a scan counts only when no post completed
+// beside it (a post counts itself after lowering the position). At or above
+// the span's barrier with except == nil, this is the quiesce test: no shard
+// holds an event below the barrier, and none can still receive one.
 func (n *Network) minPub(except *shard) int64 {
 	for {
 		posts, m := n.posts.Load(), posInf
@@ -597,17 +595,12 @@ func (s *shard) runLeg(barrier int64) {
 			// every causal chain that bottoms out in our own heap (at ≥
 			// head, since earlier events are done) needs at least two
 			// cross-shard hops to reach us, arriving ≥ head + 2·lookahead.
-			limit := s.safeTime()
-			if limit > barrier {
-				limit = barrier
-			}
-			// A peer may have posted to our mailbox since the last drain
-			// (it posts before raising its own published position, so what
-			// the safe time above no longer covers is here by now — this
-			// check comes second). Our own published position is min(heap
-			// head, mailbox min): if it is below the head, an earlier
-			// mailbox event is pending — fold it into the heap before
-			// executing past it.
+			limit := min(s.safeTime(), barrier)
+			// A peer may have posted to our mailbox since the last drain. It
+			// posts before raising its own published position, so what the
+			// safe time read above no longer covers shows here: our own
+			// position, min(heap head, mailbox min), is below the head. Fold
+			// the mailbox into the heap before executing past it.
 			if s.pub.Load() < head {
 				s.drainMailbox()
 				s.updatePub()
@@ -729,17 +722,14 @@ func (n *Network) Lookahead() time.Duration {
 
 // ------------------------------------------------------------ hash source
 
-// hashSource is a splitmix64 rand.Source64: 8 bytes of state where
-// math/rand's own source holds 607 words. The engine re-seeds one per
-// latency draw from a hash of (seed, from, to, counter), making every draw
-// a pure function of the pair's history — the property that keeps sharded
-// execution equivalent to sequential execution — and gives every node one
-// of its own per purpose (nodeRand).
-//
-// All splitmix64 streams walk the same 2^64 cycle from different offsets,
-// so two of them can overlap: N streams of L draws each, started at hashed
-// (uniform) offsets, overlap somewhere with probability about N²·L / 2^64
-// — 5·10⁻⁴ for 100k nodes drawing 10⁶ times each.
+// hashSource is a splitmix64 rand.Source64: 8 bytes of state. The engine
+// re-seeds one per latency draw from a hash of (seed, from, to, counter),
+// making every draw a pure function of the pair's history — the property
+// that keeps sharded execution equivalent to sequential execution — and
+// gives every node one of its own per purpose (nodeRand). All such streams
+// walk one 2^64 cycle from hashed offsets, so N streams of L draws overlap
+// somewhere with probability about N²·L / 2^64: 5·10⁻⁴ for 100k nodes
+// drawing 10⁶ times each.
 type hashSource struct{ s uint64 }
 
 func (h *hashSource) Uint64() uint64 {
@@ -763,28 +753,34 @@ func mix64(z uint64) uint64 {
 	return z
 }
 
-// mixLat folds the simulation seed, the directed pair and the per-sender
-// draw counter into one 64-bit latency-stream seed.
-func mixLat(seed int64, from, to ids.NodeID, counter uint64) uint64 {
-	h := mix64(uint64(seed) ^ 0x8f1bbcdcbfa53e0b)
+// The engine's own hash-stream salts, distinct from faults.go's and latency.go's.
+const (
+	latSalt   = 0x8f1bbcdcbfa53e0b // per-message latency stream
+	protoSalt = 0x6a09e667f3bcc909 // a node's protocol stream (node.Env.Rand)
+	delaySalt = 0xbb67ae8584caa73b // a node's Options.ProcessingDelay stream
+)
+
+// mixPair folds the simulation seed, a stream's salt, the directed pair and
+// the per-sender draw counter into one 64-bit stream seed.
+func mixPair(seed int64, salt uint64, from, to ids.NodeID, counter uint64) uint64 {
+	h := mix64(uint64(seed) ^ salt)
 	h = mix64(h ^ uint64(from))
 	h = mix64(h ^ uint64(to))
 	return mix64(h ^ counter)
 }
 
-// The purposes a node holds a random stream for.
-const (
-	nodeProto = iota // node.Env.Rand: the protocol's draws
-	nodeDelay        // Options.ProcessingDelay's draws
-)
+// mixNode is mixPair for a stream that belongs to one node.
+func mixNode(seed int64, salt uint64, id ids.NodeID, counter uint64) uint64 {
+	h := mix64(uint64(seed) ^ salt)
+	return mix64(mix64(h^uint64(id)) ^ counter)
+}
 
-// nodeRand returns node id's random stream for one purpose. It starts at a
-// pure hash of (seed, id, purpose), in a domain of its own beside mixLat's:
-// what a node draws depends neither on how many nodes booted before it nor
-// on what the driver drew from Network.Rand in between.
-func nodeRand(seed int64, id ids.NodeID, purpose uint64) *rand.Rand {
-	h := mix64(uint64(seed) ^ 0x6a09e667f3bcc909)
-	return rand.New(&hashSource{s: mix64(mix64(h^uint64(id)) ^ purpose)})
+// nodeRand returns node id's random stream for one purpose, named by its
+// salt. It starts at a pure hash of (seed, purpose, id): what a node draws
+// depends neither on how many nodes booted before it nor on what the driver
+// drew in between.
+func nodeRand(seed int64, purpose uint64, id ids.NodeID) *rand.Rand {
+	return rand.New(&hashSource{s: mixNode(seed, purpose, id, 0)})
 }
 
 // defaultParallelMin scales the inline-span threshold with the shard

@@ -8,10 +8,9 @@
 // encoded size of every message.
 //
 // Determinism: every latency draw is a pure function of (seed, sender,
-// receiver, per-sender draw counter), each node's protocol RNG is an 8-byte
-// splitmix64 stream starting at a pure hash of (seed, node id, purpose) —
-// not of how many nodes booted or what the driver drew before it — and
-// simultaneous events are ordered by (time, scheduling node, per-node
+// receiver, per-sender draw counter), each node's protocol RNG is a
+// splitmix64 stream started at a pure hash of (seed, node id, purpose),
+// and simultaneous events are ordered by (time, scheduling node, per-node
 // sequence number) — so a run is a pure function of (seed, workload).
 // Structural tests rely on this.
 //
@@ -244,9 +243,7 @@ type Network struct {
 	closed         bool
 	workCh         []chan int64
 	doneCh         chan struct{}
-	// posts counts cross-shard posts: a scan of the shards' positions is a
-	// snapshot only when no post completed beside it (minPub).
-	posts atomic.Uint64
+	posts          atomic.Uint64 // cross-shard posts so far: what makes minPub's scan a snapshot
 
 	// execProbe, when set (tests only), observes every event executed on a
 	// worker leg before it runs; it is called from shard goroutines.
@@ -570,7 +567,7 @@ func (n *Network) onDown(s *shard, idx int32) {
 // pairLatency samples the one-way delay for a message from -> to, drawing
 // from the sender's deterministic per-pair stream on the given shard's RNG.
 func (n *Network) pairLatency(s *shard, from *simNode, to ids.NodeID) int64 {
-	s.latSrc.s = mixLat(n.opts.Seed, from.id, to, from.latSeq)
+	s.latSrc.s = mixPair(n.opts.Seed, latSalt, from.id, to, from.latSeq)
 	from.latSeq++
 	d := n.latency.Sample(from.id, to, s.latRnd)
 	if d < 0 {
@@ -584,7 +581,7 @@ func (n *Network) pairLatency(s *shard, from *simNode, to ids.NodeID) int64 {
 // draws from a driver-owned stream, so it does not perturb the pair's
 // in-simulation latency sequence. Driver context only.
 func (n *Network) EstimateLatency(from, to ids.NodeID) time.Duration {
-	n.driver.latSrc.s = mixLat(n.opts.Seed^0x51ab_f00d, from, to, n.estSeq)
+	n.driver.latSrc.s = mixPair(n.opts.Seed^0x51ab_f00d, latSalt, from, to, n.estSeq)
 	n.estSeq++
 	d := n.latency.Sample(from, to, n.driver.latRnd)
 	if d < 0 {
@@ -619,9 +616,9 @@ func (n *Network) AddNode(id ids.NodeID, h node.Handler) {
 		shard:   n.shards[len(n.order)%len(n.shards)],
 		conns:   make(map[ids.NodeID]*halfConn),
 	}
-	sn.env = &env{net: n, node: sn, rng: nodeRand(n.opts.Seed, id, nodeProto)}
+	sn.env = &env{net: n, node: sn, rng: nodeRand(n.opts.Seed, protoSalt, id)}
 	if n.opts.ProcessingDelay != nil {
-		sn.delayRng = nodeRand(n.opts.Seed, id, nodeDelay)
+		sn.delayRng = nodeRand(n.opts.Seed, delaySalt, id)
 	}
 	n.nodes[id] = sn
 	n.order = append(n.order, id)
