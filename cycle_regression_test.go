@@ -61,9 +61,6 @@ func parentCycles(c *brisa.Cluster, stream brisa.StreamID) [][]brisa.NodeID {
 	return cycles
 }
 
-// cycleSeed is the seed the guard is pinned on (see the header comment).
-const cycleSeed = 129
-
 var scanCycleSeeds = flag.Int("scan-cycle-seeds", 0, "scan seeds 1..N for a soft-repair parent cycle that stalls nodes (TestScanSoftRepairCycleSeeds)")
 
 // softRepairCycleRun runs the 64-node, piggyback-free, three-simultaneous-
@@ -128,7 +125,7 @@ func TestScanSoftRepairCycleSeeds(t *testing.T) {
 }
 
 func TestKnownIssueSoftRepairCycleWithoutPiggyback(t *testing.T) {
-	longest, stalled, alive := softRepairCycleRun(t, cycleSeed)
+	longest, stalled, alive := softRepairCycleRun(t, 129) // the pinned seed: see the header comment
 	t.Logf("cycle=%v stalled=%d of %d alive", longest, stalled, alive)
 
 	// The defect, pinned. A fix makes both checks fail — flip them then.

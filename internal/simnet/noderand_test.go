@@ -21,11 +21,12 @@ func nodeStreams(seed int64, count int) []*rand.Rand {
 	return out
 }
 
-// chi2Intn8 is Pearson's statistic of draws against a uniform Intn(8).
-func chi2Intn8(draws int, next func() int) float64 {
+// chi2Intn8 is Pearson's statistic of draw(0..draws-1) against a uniform
+// Intn(8).
+func chi2Intn8(draws int, draw func(i int) int) float64 {
 	var seen [8]float64
 	for i := 0; i < draws; i++ {
-		seen[next()]++
+		seen[draw(i)]++
 	}
 	want, chi2 := float64(draws)/8, 0.0
 	for _, c := range seen {
@@ -59,11 +60,11 @@ func TestNodeStreamQuality(t *testing.T) {
 	}
 
 	one := nodeStreams(seed, 1)[0]
-	if chi2 := chi2Intn8(100_000, func() int { return one.Intn(8) }); chi2 > critical {
+	if chi2 := chi2Intn8(100_000, func(int) int { return one.Intn(8) }); chi2 > critical {
 		t.Errorf("one node's 1e5 Intn(8) draws: χ² = %.2f > %.2f", chi2, critical)
 	}
-	across, i := nodeStreams(seed, nodes), 0
-	if chi2 := chi2Intn8(nodes, func() int { i++; return across[i-1].Intn(8) }); chi2 > critical {
+	across := nodeStreams(seed, nodes)
+	if chi2 := chi2Intn8(nodes, func(i int) int { return across[i].Intn(8) }); chi2 > critical {
 		t.Errorf("first Intn(8) of %d nodes: χ² = %.2f > %.2f", nodes, chi2, critical)
 	}
 
