@@ -6,9 +6,10 @@ package brisa_test
 // misses (every member's embedded path predates the concurrent adoptions),
 // stranding the subtree below it. Found by scanning seeds of a
 // 64-node/3-simultaneous-crash workload (TestScanSoftRepairCycleSeeds, about
-// 0.1 s per seed); seed 129 closes a 3-cycle that survives to the end of the
-// run and stalls 12 of the 52 alive nodes (as do 170 and 244, of seeds
-// 1..300; seed 161 did until the node RNG became a splitmix64 stream).
+// 0.1 s per seed); seed 63 closes a 3-cycle that survives to the end of the
+// run and stalls 10 of the 52 alive nodes, the only one of seeds 1..300 that
+// does (129, 170 and 244 did while keep-alives were answered; 161 did until
+// the node RNG became a splitmix64 stream).
 //
 // This test asserts that the bug REPRODUCES, pinning the exact failure so it
 // cannot mutate silently. When the repair protocol gains a fix (e.g. cycle
@@ -125,7 +126,7 @@ func TestScanSoftRepairCycleSeeds(t *testing.T) {
 }
 
 func TestKnownIssueSoftRepairCycleWithoutPiggyback(t *testing.T) {
-	longest, stalled, alive := softRepairCycleRun(t, 129) // the pinned seed: see the header comment
+	longest, stalled, alive := softRepairCycleRun(t, 63) // the pinned seed: see the header comment
 	t.Logf("cycle=%v stalled=%d of %d alive", longest, stalled, alive)
 
 	// The defect, pinned. A fix makes both checks fail — flip them then.

@@ -47,13 +47,11 @@ type Protocol struct {
 
 	// Reused keep-alive piggyback buffers (see piggyback.go): pbOut builds
 	// outgoing entries over the parent lists in pbParents, pbEntries/pbIDs
-	// hold one decoded incoming blob,
-	// sidScratch the sorted stream iteration order, pbScratch the encoding
-	// in progress and pbLast the immutable blob last returned.
+	// hold one decoded incoming blob, sidScratch the sorted stream iteration
+	// order and pbScratch the encoding in progress.
 	pbOut      []piggyStream
 	pbParents  []ids.NodeID
 	pbScratch  []byte
-	pbLast     []byte
 	pbEntries  []piggyStream
 	pbIDs      []ids.NodeID
 	sidScratch []wire.StreamID

@@ -122,8 +122,8 @@ func (p *Protocol) decodePiggyback(pb []byte) ([]piggyStream, error) {
 
 // PiggybackBlob encodes this node's per-stream structural state for
 // inclusion in outgoing keep-alives. Wire through
-// hyparview.Config.Piggyback. While the state encodes to the same bytes the
-// same slice is returned; a change yields a fresh one, because blobs already
+// hyparview.Config.Piggyback, which asks once per heartbeat round. The state
+// is encoded into a reused scratch and an exact-size copy is returned: blobs
 // handed to Env.Send are aliased by in-flight messages (and by receivers'
 // decodePiggyback on the simulator) and are never written again.
 func (p *Protocol) PiggybackBlob() []byte {
@@ -158,10 +158,7 @@ func (p *Protocol) PiggybackBlob() []byte {
 		return nil
 	}
 	p.pbScratch = appendPiggyback(p.pbScratch[:0], entries)
-	if !bytes.Equal(p.pbScratch, p.pbLast) {
-		p.pbLast = bytes.Clone(p.pbScratch)
-	}
-	return p.pbLast
+	return bytes.Clone(p.pbScratch)
 }
 
 // adBlobs fills the entry's possession advertisements: the two most recent

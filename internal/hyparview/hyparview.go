@@ -11,6 +11,15 @@
 //   - keep-alives measure per-neighbor RTT (used by the delay-aware parent
 //     selection strategy) and carry an opaque piggyback blob for the upper
 //     layer (used by BRISA soft repair).
+//
+// A keep-alive is one-way. The active view is symmetric, so each link
+// already carries one heartbeat each way per period; nobody answers one.
+// The round trip is closed by echo, as TCP's timestamp option does: a
+// heartbeat hands the neighbor's last SentAt back, advanced by the time this
+// node held it, and the neighbor's clock minus that echo is one RTT sample
+// per neighbor per period. A neighbor this node has not heard a heartbeat
+// from for MissLimit periods is closed, whether it died or merely does not
+// list this node.
 package hyparview
 
 import (
@@ -43,7 +52,8 @@ type Config struct {
 	Ka, Kp        int
 	ShuffleTTL    uint8
 	// KeepAlivePeriod is the heartbeat period on active connections;
-	// MissLimit heartbeats without an answer declare the neighbor failed.
+	// MissLimit periods without hearing the neighbor's heartbeat declare it
+	// failed. MissLimit periods is also the longest RTT sample believed.
 	KeepAlivePeriod time.Duration
 	MissLimit       int
 
@@ -102,11 +112,17 @@ type dial struct {
 	started  time.Time
 }
 
+// neighbor is one active-view entry. heardAt and peerSentAt are what the
+// next heartbeat echoes: this node's clock when the peer's last heartbeat
+// arrived and the SentAt it carried, both in nanoseconds. peerSentAt is 0
+// when there is nothing to echo: no heartbeat yet, or the last one's
+// timestamp already went back.
 type neighbor struct {
-	connected bool
-	rtt       time.Duration
-	lastSeen  time.Time
-	missed    int
+	connected  bool
+	missed     int
+	rtt        time.Duration
+	heardAt    int64
+	peerSentAt int64
 }
 
 // Protocol is one node's HyParView instance. It implements node.Proto; all
@@ -149,7 +165,7 @@ func Kinds() []wire.Kind {
 		wire.KindJoin, wire.KindForwardJoin, wire.KindDisconnect,
 		wire.KindNeighborRequest, wire.KindNeighborReply,
 		wire.KindShuffle, wire.KindShuffleReply,
-		wire.KindKeepAlive, wire.KindKeepAliveReply,
+		wire.KindKeepAlive,
 	}
 }
 
@@ -258,7 +274,6 @@ func (p *Protocol) addActive(peer ids.NodeID) {
 	if nb, ok := p.active[peer]; ok {
 		if !nb.connected {
 			nb.connected = true
-			nb.lastSeen = p.env.Now()
 			p.invalidateActive()
 			p.notifyUp(peer)
 		}
@@ -268,7 +283,7 @@ func (p *Protocol) addActive(peer ids.NodeID) {
 		p.evictRandom(peer)
 	}
 	p.passive.Remove(peer)
-	p.active[peer] = &neighbor{connected: true, lastSeen: p.env.Now()}
+	p.active[peer] = &neighbor{connected: true}
 	p.invalidateActive()
 	p.notifyUp(peer)
 }
@@ -432,7 +447,7 @@ func (p *Protocol) ConnUp(peer ids.NodeID) {
 			p.evictRandom(peer)
 		}
 		p.passive.Remove(peer)
-		p.active[peer] = &neighbor{connected: false, lastSeen: p.env.Now(), rtt: rtt}
+		p.active[peer] = &neighbor{connected: false, rtt: rtt}
 		p.invalidateActive()
 	case dialTemp:
 		for _, m := range d.queued {
@@ -481,8 +496,6 @@ func (p *Protocol) Receive(from ids.NodeID, m wire.Message) {
 		p.onShuffleReply(from, msg)
 	case wire.KeepAlive:
 		p.onKeepAlive(from, msg)
-	case wire.KeepAliveReply:
-		p.onKeepAliveReply(from, msg)
 	}
 }
 
@@ -553,7 +566,6 @@ func (p *Protocol) onNeighborReply(from ids.NodeID, m wire.NeighborReply) {
 	}
 	if m.Accept {
 		nb.connected = true
-		nb.lastSeen = p.env.Now()
 		p.invalidateActive()
 		p.notifyUp(from)
 	} else {
@@ -685,10 +697,7 @@ func (p *Protocol) keepAliveTick() {
 	if p.cfg.Piggyback != nil {
 		blob = p.cfg.Piggyback()
 	}
-	now := p.env.Now()
-	// One interface conversion for the whole round: Send takes a
-	// wire.Message, and boxing the struct per neighbor shows up at scale.
-	var ka wire.Message = wire.KeepAlive{SentAt: now.UnixNano(), Piggyback: blob}
+	now := p.env.Now().UnixNano()
 	// Iterate in sorted order, not map order: each Send draws from the
 	// shared RNG stream (latency sampling on the simulator), so the send
 	// order must be identical across runs for a seed to reproduce a run.
@@ -708,11 +717,17 @@ func (p *Protocol) keepAliveTick() {
 		nb.missed++
 		if nb.missed > p.cfg.MissLimit {
 			// The transport failure detector usually beats this, but a
-			// silently wedged peer is declared dead here.
+			// silently wedged peer, or one that does not list this node
+			// and so sends it nothing, is declared dead here.
 			p.metrics.KeepAlivesMissed++
 			p.env.Close(id)
 			p.removeActive(id, false)
 			continue
+		}
+		ka := wire.KeepAlive{SentAt: now, Piggyback: blob}
+		if nb.peerSentAt != 0 {
+			ka.Echo = nb.peerSentAt + (now - nb.heardAt)
+			nb.peerSentAt = 0 // an echo is spent once
 		}
 		p.env.Send(id, ka)
 	}
@@ -722,32 +737,28 @@ func (p *Protocol) onKeepAlive(from ids.NodeID, m wire.KeepAlive) {
 	if p.cfg.OnPiggyback != nil && m.Piggyback != nil {
 		p.cfg.OnPiggyback(from, m.Piggyback)
 	}
-	var blob []byte
-	if p.cfg.Piggyback != nil {
-		blob = p.cfg.Piggyback()
+	nb, ok := p.active[from]
+	if !ok {
+		return
 	}
-	p.env.Send(from, wire.KeepAliveReply{EchoSentAt: m.SentAt, Piggyback: blob})
-	if nb, ok := p.active[from]; ok {
-		nb.lastSeen = p.env.Now()
-		nb.missed = 0
+	now := p.env.Now().UnixNano()
+	nb.missed = 0
+	nb.heardAt, nb.peerSentAt = now, m.SentAt
+	if m.Echo == 0 {
+		return
 	}
-}
-
-func (p *Protocol) onKeepAliveReply(from ids.NodeID, m wire.KeepAliveReply) {
-	if p.cfg.OnPiggyback != nil && m.Piggyback != nil {
-		p.cfg.OnPiggyback(from, m.Piggyback)
+	// The sample comes off the network: a stale, hostile or wrapped echo
+	// must not reach the estimate the delay-aware strategy ranks parents by.
+	sample := time.Duration(now - m.Echo)
+	if sample <= 0 || sample > time.Duration(p.cfg.MissLimit)*p.cfg.KeepAlivePeriod {
+		return
 	}
-	if nb, ok := p.active[from]; ok {
-		sample := p.env.Now().Sub(time.Unix(0, m.EchoSentAt))
-		if nb.rtt <= 0 {
-			nb.rtt = sample
-		} else {
-			// EWMA smoothing: one queued keep-alive must not make a good
-			// link look bad to the delay-aware strategy.
-			nb.rtt = (nb.rtt*3 + sample) / 4
-		}
-		nb.lastSeen = p.env.Now()
-		nb.missed = 0
+	if nb.rtt <= 0 {
+		nb.rtt = sample
+	} else {
+		// EWMA smoothing: one queued keep-alive must not make a good
+		// link look bad to the delay-aware strategy.
+		nb.rtt = (nb.rtt*3 + sample) / 4
 	}
 }
 

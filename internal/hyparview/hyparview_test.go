@@ -9,6 +9,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/node"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // cluster is a test fixture: n HyParView nodes on a simulated network.
@@ -152,6 +153,33 @@ func TestFailureRecovery(t *testing.T) {
 }
 
 func TestRTTMeasurement(t *testing.T) {
+	t.Run("clean links", func(t *testing.T) {
+		testRTTMeasurement(t, func(h node.Handler) node.Handler { return h })
+	})
+	// A lost heartbeat leaves its receiver nothing to echo, so the sender
+	// gets no sample that period — never a stale one.
+	t.Run("first heartbeat of every link dropped", func(t *testing.T) {
+		testRTTMeasurement(t, func(h node.Handler) node.Handler {
+			return &dropFirstKeepAlive{Handler: h, heard: map[ids.NodeID]bool{}}
+		})
+	})
+}
+
+// dropFirstKeepAlive loses the first heartbeat that arrives from each peer.
+type dropFirstKeepAlive struct {
+	node.Handler
+	heard map[ids.NodeID]bool
+}
+
+func (d *dropFirstKeepAlive) Receive(from ids.NodeID, m wire.Message) {
+	if _, ok := m.(wire.KeepAlive); ok && !d.heard[from] {
+		d.heard[from] = true
+		return
+	}
+	d.Handler.Receive(from, m)
+}
+
+func testRTTMeasurement(t *testing.T, wrap func(node.Handler) node.Handler) {
 	cfg := DefaultConfig()
 	c := &cluster{
 		net:   simnet.New(simnet.Options{Seed: 1, Latency: simnet.FixedLatency(5 * time.Millisecond)}),
@@ -160,9 +188,7 @@ func TestRTTMeasurement(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		id := ids.NodeID(i + 1)
 		p := New(cfg)
-		mux := node.NewMux()
-		mux.Register(p, Kinds()...)
-		c.net.AddNode(id, mux)
+		c.net.AddNode(id, wrap(muxFor(p)))
 		c.peers[id] = p
 		c.order = append(c.order, id)
 	}

@@ -33,8 +33,8 @@ func fuzzSeedMessages() []Message {
 		NeighborRequest{Priority: true},
 		Shuffle{Origin: 42, TTL: 2, Nodes: nodes},
 		ShuffleReply{Nodes: nil},
-		KeepAlive{SentAt: 123456789, Piggyback: []byte{1, 2, 3}},
-		KeepAliveReply{EchoSentAt: -1, Piggyback: nil},
+		KeepAlive{SentAt: 123456789, Echo: 123450000, Piggyback: []byte{1, 2, 3}},
+		KeepAlive{SentAt: 1, Echo: -1, Piggyback: nil},
 		Data{Stream: 7, Seq: 99, Depth: 4, Path: nodes, Payload: []byte("payload")},
 		Data{Stream: 1, Seq: 1, Depth: NoDepth},
 		Deactivate{Stream: 9, Symmetric: true},
@@ -108,7 +108,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		case 1:
 			m = Shuffle{Origin: n1, TTL: uint8(depth), Nodes: path}
 		case 2:
-			m = KeepAlive{SentAt: ts, Piggyback: blob}
+			m = KeepAlive{SentAt: ts, Echo: int64(id1), Piggyback: blob}
 		case 3:
 			m = CyclonShuffle{Entries: []CyclonEntry{{Node: n1, Age: uint16(a)}, {Node: n2, Age: depth}}}
 		case 4:
@@ -146,6 +146,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(Marshal(out), frame) {
 			t.Fatalf("round trip changed encoding for kind %v", m.Kind())
+		}
+		if ka, ok := out.(KeepAlive); ok && (ka.SentAt != ts || ka.Echo != int64(id1)) {
+			t.Fatalf("KeepAlive came back as SentAt %d Echo %d, want %d and %d", ka.SentAt, ka.Echo, ts, int64(id1))
 		}
 
 		// The zero-allocation id-list decode path must agree with the

@@ -128,13 +128,20 @@ func (m ShuffleReply) AppendTo(b []byte) []byte {
 // WireSize implements Message.
 func (m ShuffleReply) WireSize() int { return 1 + szNodeIDs(m.Nodes) }
 
-// KeepAlive is the periodic heartbeat on active-view connections. SentAt is
-// the sender's clock (nanoseconds) echoed back for RTT measurement; the
-// paper's delay-aware parent selection leverages exactly these probes
+// KeepAlive is the periodic heartbeat on active-view connections. It is
+// one-way: nobody answers it. The active view is symmetric, so every link
+// carries one heartbeat each way per period, and the round trip is closed
+// by echo, as TCP's timestamp option does. SentAt is the sender's clock
+// (nanoseconds). Echo is the receiver's own clock handed back: the SentAt
+// of the last heartbeat the sender heard from the receiver plus how long
+// the sender held it, so the receiver's now − Echo is the round-trip time.
+// Echo is 0 when the sender heard nothing new since its last heartbeat.
+// The paper's delay-aware parent selection leverages exactly these probes
 // (§II-E), and §II-F piggybacks parent-selection state on them — the opaque
 // Piggyback field carries that upper-layer state.
 type KeepAlive struct {
 	SentAt    int64
+	Echo      int64
 	Piggyback []byte
 }
 
@@ -145,32 +152,13 @@ func (KeepAlive) Kind() Kind { return KindKeepAlive }
 func (m KeepAlive) AppendTo(b []byte) []byte {
 	e := Encoder{B: b}
 	e.I64(m.SentAt)
+	e.I64(m.Echo)
 	e.Bytes(m.Piggyback)
 	return e.B
 }
 
 // WireSize implements Message.
-func (m KeepAlive) WireSize() int { return 1 + szI64 + szBytes(m.Piggyback) }
-
-// KeepAliveReply echoes a KeepAlive.
-type KeepAliveReply struct {
-	EchoSentAt int64
-	Piggyback  []byte
-}
-
-// Kind implements Message.
-func (KeepAliveReply) Kind() Kind { return KindKeepAliveReply }
-
-// AppendTo implements Message.
-func (m KeepAliveReply) AppendTo(b []byte) []byte {
-	e := Encoder{B: b}
-	e.I64(m.EchoSentAt)
-	e.Bytes(m.Piggyback)
-	return e.B
-}
-
-// WireSize implements Message.
-func (m KeepAliveReply) WireSize() int { return 1 + szI64 + szBytes(m.Piggyback) }
+func (m KeepAlive) WireSize() int { return 1 + 2*szI64 + szBytes(m.Piggyback) }
 
 func init() {
 	register(KindJoin, func(body []byte) (Message, error) {
@@ -208,12 +196,7 @@ func init() {
 	})
 	register(KindKeepAlive, func(body []byte) (Message, error) {
 		d := Decoder{B: body}
-		m := KeepAlive{SentAt: d.I64(), Piggyback: cloneBytes(d.Bytes())}
-		return m, d.Finish()
-	})
-	register(KindKeepAliveReply, func(body []byte) (Message, error) {
-		d := Decoder{B: body}
-		m := KeepAliveReply{EchoSentAt: d.I64(), Piggyback: cloneBytes(d.Bytes())}
+		m := KeepAlive{SentAt: d.I64(), Echo: d.I64(), Piggyback: cloneBytes(d.Bytes())}
 		return m, d.Finish()
 	})
 }

@@ -21,7 +21,7 @@ const (
 	KindShuffle
 	KindShuffleReply
 	KindKeepAlive
-	KindKeepAliveReply
+	// 9 is retired: it was the answer to a KeepAlive, which is now one-way.
 )
 
 const (
@@ -89,7 +89,6 @@ var kindNames = map[Kind]string{
 	KindShuffle:            "Shuffle",
 	KindShuffleReply:       "ShuffleReply",
 	KindKeepAlive:          "KeepAlive",
-	KindKeepAliveReply:     "KeepAliveReply",
 	KindData:               "Data",
 	KindDeactivate:         "Deactivate",
 	KindReactivate:         "Reactivate",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,8 +23,7 @@ func allMessages() []Message {
 		NeighborReply{Accept: true},
 		Shuffle{Origin: 7, TTL: 3, Nodes: path},
 		ShuffleReply{Nodes: path},
-		KeepAlive{SentAt: 123456789, Piggyback: []byte{1, 2, 3}},
-		KeepAliveReply{EchoSentAt: 987654321, Piggyback: []byte{9}},
+		KeepAlive{SentAt: 123456789, Echo: 987654321, Piggyback: []byte{1, 2, 3}},
 		Data{Stream: 1, Seq: 77, Depth: 4, Path: path, Payload: []byte("payload")},
 		Deactivate{Stream: 1, Symmetric: true},
 		Reactivate{Stream: 2},
@@ -92,8 +92,9 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{},
-		{0xFF},           // unknown kind
-		{byte(KindData)}, // truncated body
+		{0xFF},                                  // unknown kind
+		{9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}, // retired kind: the answer a keep-alive used to get
+		{byte(KindData)},                        // truncated body
 		{byte(KindData), 1, 2, 3},
 	}
 	for _, c := range cases {
@@ -105,6 +106,29 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	frame := Marshal(Deactivate{Stream: 1})
 	if _, err := Unmarshal(append(frame, 0)); err == nil {
 		t.Error("trailing byte accepted")
+	}
+}
+
+// TestKeepAliveLayout pins the one-way heartbeat's frame: both timestamps
+// survive the round trip as themselves (the generic round-trip tests only
+// compare re-encodings), the frame is 8 bytes wider than the layout it
+// replaced, and the retired reply kind is refused as unknown, not misread.
+func TestKeepAliveLayout(t *testing.T) {
+	in := KeepAlive{SentAt: 1 << 40, Echo: -7, Piggyback: []byte{1, 2, 3}}
+	frame := Marshal(in)
+	if want := 1 + 8 + 8 + 4 + 3; len(frame) != want {
+		t.Fatalf("frame is %d bytes, want %d", len(frame), want)
+	}
+	out, err := Unmarshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Errorf("round trip: got %#v, want %#v", out, in)
+	}
+	frame[0] = 9
+	if _, err := Unmarshal(frame); err == nil || !strings.Contains(err.Error(), "unknown kind 9") {
+		t.Errorf("kind 9 decoded with err = %v, want an unknown-kind error", err)
 	}
 }
 
