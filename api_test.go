@@ -118,3 +118,64 @@ func TestSimulatedSubscription(t *testing.T) {
 		}
 	}
 }
+
+// A baseline peer answers the whole public Peer API: what all four systems
+// have works, what only BRISA has reads as empty.
+func TestBaselinePeerAPI(t *testing.T) {
+	for _, mode := range []brisa.Mode{brisa.ModeSimpleTree, brisa.ModeSimpleGossip, brisa.ModeTAG} {
+		t.Run(mode.String(), func(t *testing.T) {
+			events := 0
+			c, err := brisa.NewCluster(brisa.ClusterConfig{
+				Nodes: 16, Workers: 1,
+				Peer: brisa.Config{Mode: mode, ViewSize: 3, OnEvent: func(brisa.Event) { events++ }},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.Bootstrap()
+			src, leaf := c.Peers()[0], c.Peers()[15]
+			sub := leaf.Subscribe(1)
+			defer sub.Cancel()
+			c.Net.After(0, func() { src.Publish(1, []byte("hello")) })
+			c.Net.RunFor(30 * time.Second)
+
+			select {
+			case m := <-sub.C():
+				if m.Seq != 1 || string(m.Payload) != "hello" {
+					t.Errorf("subscription delivered %+v", m)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the subscription delivered nothing")
+			}
+			if got := leaf.DeliveredCount(1); got != 1 {
+				t.Errorf("DeliveredCount = %d, want 1", got)
+			}
+			if got := leaf.Metrics().Delivered; got != 1 {
+				t.Errorf("Metrics().Delivered = %d, want 1", got)
+			}
+			if structured := mode != brisa.ModeSimpleGossip; structured != (len(leaf.Parents(1)) == 1) || leaf.IsOrphan(1) {
+				t.Errorf("Parents = %v, IsOrphan = %v", leaf.Parents(1), leaf.IsOrphan(1))
+			}
+			if _, ok := leaf.ConstructionTime(1); ok != (mode == brisa.ModeTAG) {
+				t.Errorf("ConstructionTime ok = %v", ok)
+			}
+			if mode == brisa.ModeSimpleGossip && events == 0 {
+				t.Error("OnEvent saw none of SimpleGossip's duplicates")
+			}
+
+			if len(leaf.Neighbors()) != 0 || len(leaf.Children(1)) != 0 || leaf.RTT(src.ID()) != 0 ||
+				leaf.PSSMetrics().Shuffles != 0 || leaf.BlobsDelivered(1) != 0 || leaf.BlobStats(1) != (brisa.BlobStats{}) {
+				t.Error("a BRISA-only accessor reported something on a baseline peer")
+			}
+			if _, ok := leaf.Depth(1); ok {
+				t.Error("Depth is known on a baseline peer")
+			}
+			if _, err := src.PublishBlob(2, make([]byte, 1024), brisa.BlobOptions{}); err == nil {
+				t.Error("PublishBlob succeeded on a baseline peer")
+			}
+			blobs := leaf.SubscribeBlobs(2)
+			blobs.Cancel()
+		})
+	}
+}

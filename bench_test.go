@@ -3,8 +3,8 @@ package brisa_test
 // One benchmark per table and figure of the paper's evaluation (§III), plus
 // ablation benches for the design choices DESIGN.md calls out. Each bench
 // runs the corresponding experiment at a reduced scale (the shapes are
-// scale-stable; see EXPERIMENTS.md for full-scale results produced by
-// cmd/brisa-figures) and reports the experiment's headline metrics through
+// scale-stable; `go run ./cmd/brisa-figures <name>` produces the full-scale
+// result) and reports the experiment's headline metrics through
 // b.ReportMetric, so `go test -bench .` regenerates every row/series in
 // miniature.
 

@@ -49,6 +49,9 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/baselines/simplegossip"
+	"repro/internal/baselines/simpletree"
+	"repro/internal/baselines/tag"
 	"repro/internal/blob"
 	"repro/internal/core"
 	"repro/internal/hyparview"
@@ -63,7 +66,8 @@ type (
 	NodeID = ids.NodeID
 	// StreamID names one dissemination stream.
 	StreamID = wire.StreamID
-	// Mode selects the emerged structure (flood, tree, DAG).
+	// Mode selects the system a peer runs: one of BRISA's emerged structures
+	// (flood, tree, DAG) or one of the paper's comparison systems.
 	Mode = core.Mode
 	// Strategy ranks candidate parents (§II-E).
 	Strategy = core.Strategy
@@ -77,12 +81,29 @@ type (
 	BlobStats = core.BlobStats
 )
 
-// Structure modes.
+// Structure modes, and the §III-D comparison systems: SimpleTree (a
+// coordinator-built push tree), SimpleGossip (Cyclon rumor mongering with
+// fanout ln N plus anti-entropy) and TAG (a pull-based tree along a join-
+// ordered list, ViewSize children per node). The three baselines run under
+// the same Cluster, Scenario and Report as BRISA, on the simulator only:
+// SimpleTree's coordinator and TAG's source are the node with identifier 1
+// — the simulator's first — and live identifiers are addresses.
 const (
-	ModeFlood = core.ModeFlood
-	ModeTree  = core.ModeTree
-	ModeDAG   = core.ModeDAG
+	ModeFlood        = core.ModeFlood
+	ModeTree         = core.ModeTree
+	ModeDAG          = core.ModeDAG
+	ModeSimpleTree   = core.ModeSimpleTree
+	ModeSimpleGossip = core.ModeSimpleGossip
+	ModeTAG          = core.ModeTAG
 )
+
+// baselineRoot is the node the rooted baselines are built around.
+const baselineRoot NodeID = 1
+
+// baseline reports whether the mode is a comparison system rather than a
+// BRISA structure, and rooted whether that system grows from baselineRoot.
+func baseline(m Mode) bool { return m >= ModeSimpleTree && m <= ModeTAG }
+func rooted(m Mode) bool   { return m == ModeSimpleTree || m == ModeTAG }
 
 // Event types (see core.EventType for semantics).
 const (
@@ -119,7 +140,9 @@ type (
 type Config struct {
 	// Mode is the dissemination structure. The zero value is ModeFlood
 	// (plain epidemic flooding, no structure emergence); set ModeTree or
-	// ModeDAG for the paper's main configurations.
+	// ModeDAG for the paper's main configurations, or one of the baseline
+	// modes to run a comparison system in BRISA's place (simulator only;
+	// Parents, Strategy, HyParView and OnDeliver must stay unset).
 	Mode Mode
 	// Parents is the DAG parent target (default 2 in ModeDAG).
 	Parents int
@@ -127,7 +150,7 @@ type Config struct {
 	// symmetric deactivation enabled as in the paper).
 	Strategy Strategy
 	// ViewSize is the HyParView active view target (default 4, the
-	// paper's baseline).
+	// paper's baseline); in ModeTAG, how many children a node accepts.
 	ViewSize int
 	// ExpansionFactor lets the active view stretch (default 2, §II-A).
 	ExpansionFactor float64
@@ -150,10 +173,18 @@ type Config struct {
 // away. Zero values mean "use the documented default"; negative or otherwise
 // contradictory values are errors rather than silently corrected.
 func (c Config) Validate() error {
-	switch c.Mode {
-	case ModeFlood, ModeTree, ModeDAG:
-	default:
+	switch {
+	case c.Mode >= ModeFlood && c.Mode <= ModeDAG:
+	case !baseline(c.Mode):
 		return fmt.Errorf("brisa: unknown Mode %d", int(c.Mode))
+	case c.Parents != 0:
+		return fmt.Errorf("brisa: Mode %v selects no parents, got Parents=%d", c.Mode, c.Parents)
+	case c.Strategy != nil:
+		return fmt.Errorf("brisa: Mode %v selects no parents, got Strategy %T", c.Mode, c.Strategy)
+	case c.HyParView != nil:
+		return fmt.Errorf("brisa: Mode %v runs no HyParView, got a HyParView override", c.Mode)
+	case c.OnDeliver != nil:
+		return fmt.Errorf("brisa: Mode %v has no OnDeliver hook (use Peer.Subscribe)", c.Mode)
 	}
 	if c.Parents < 0 {
 		return fmt.Errorf("brisa: Parents must not be negative, got %d", c.Parents)
@@ -180,7 +211,7 @@ func (c Config) withDefaults() Config {
 	if c.Mode == ModeDAG && c.Parents <= 0 {
 		c.Parents = 2
 	}
-	if c.Strategy == nil {
+	if c.Strategy == nil && !baseline(c.Mode) {
 		c.Strategy = FirstCome{}
 	}
 	if c.ViewSize <= 0 {
@@ -198,11 +229,41 @@ func ParseNodeID(s string) (NodeID, error) {
 	return ids.Parse(s)
 }
 
-// Peer is one assembled protocol stack: HyParView + BRISA on a shared actor.
+// stack is what a Cluster, the scenario driver and the collector need from
+// the system a Peer runs, whichever Mode chose it: HyParView + BRISA
+// (brisaStack) or one of the internal/baselines peers.
+type stack interface {
+	Join(contact NodeID)
+	Publish(stream StreamID, payload []byte) uint32
+	// Now is the node's own clock, valid inside its actor callbacks.
+	Now() time.Time
+	SubscribeFn(stream StreamID, fn func(seq uint32, payload []byte)) (cancel func())
+	SubscribeEvents(fn func(Event)) (cancel func())
+	DeliveredCount(stream StreamID) uint64
+	Parents(stream StreamID) []NodeID
+	IsOrphan(stream StreamID) bool
+	ConstructionTime(stream StreamID) (time.Duration, bool)
+	Metrics() Metrics
+}
+
+// brisaStack is the paper's system: BRISA joins through its HyParView.
+type brisaStack struct {
+	*core.Protocol
+	pss *hyparview.Protocol
+}
+
+func (s brisaStack) Join(contact NodeID) { s.pss.Join(contact) }
+
+// Peer is one assembled protocol stack on a single actor: HyParView + BRISA,
+// or in a baseline mode that system's own layers. What only BRISA has —
+// neighbors, children, depth, RTT, PSS counters, blobs — reads as empty on a
+// baseline peer, and its subscriptions attach and cancel only while the
+// simulation stands still (kit.Base keeps its listeners unlocked).
 type Peer struct {
 	id    NodeID
-	pss   *hyparview.Protocol
-	brisa *core.Protocol
+	sys   stack
+	pss   *hyparview.Protocol // nil in the baseline modes
+	brisa *core.Protocol      // nil in the baseline modes
 	mux   *node.Mux
 	subs  subscriptionSet
 }
@@ -210,7 +271,12 @@ type Peer struct {
 // NewPeer assembles a peer, or reports why the configuration is invalid.
 // Register Handler() with a runtime (simnet or livenet) under the same id —
 // or use NewCluster/Listen, which do all of this.
-func NewPeer(id NodeID, cfg Config) (*Peer, error) {
+func NewPeer(id NodeID, cfg Config) (*Peer, error) { return newPeer(id, cfg, 0) }
+
+// newPeer is NewPeer for a deployment of a known size, which is what
+// SimpleGossip derives its fanout from (ln N, §III-D(a)); 0 leaves the
+// simplegossip package's default.
+func newPeer(id NodeID, cfg Config, nodes int) (*Peer, error) {
 	if !id.Valid() {
 		return nil, fmt.Errorf("brisa: invalid peer id %v", id)
 	}
@@ -218,6 +284,28 @@ func NewPeer(id NodeID, cfg Config) (*Peer, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	if baseline(cfg.Mode) {
+		var sys interface {
+			stack
+			Handler() *node.Mux
+		}
+		switch cfg.Mode {
+		case ModeSimpleTree:
+			sys = simpletree.New(id, baselineRoot)
+		case ModeSimpleGossip:
+			var gcfg simplegossip.Config
+			if nodes > 0 {
+				gcfg.Fanout = simplegossip.FanoutFor(nodes)
+			}
+			sys = simplegossip.New(gcfg)
+		case ModeTAG:
+			sys = tag.New(id, tag.Config{Source: baselineRoot, MaxChildren: cfg.ViewSize})
+		}
+		if cfg.OnEvent != nil {
+			sys.SubscribeEvents(cfg.OnEvent)
+		}
+		return &Peer{id: id, sys: sys, mux: sys.Handler()}, nil
+	}
 
 	hvCfg := hyparview.DefaultConfig()
 	if cfg.HyParView != nil {
@@ -258,7 +346,7 @@ func NewPeer(id NodeID, cfg Config) (*Peer, error) {
 	mux := node.NewMux()
 	mux.Register(pss, hyparview.Kinds()...)
 	mux.Register(bp, core.Kinds()...)
-	return &Peer{id: id, pss: pss, brisa: bp, mux: mux}, nil
+	return &Peer{id: id, sys: brisaStack{bp, pss}, pss: pss, brisa: bp, mux: mux}, nil
 }
 
 // ID returns the peer's identifier.
@@ -268,11 +356,11 @@ func (p *Peer) ID() NodeID { return p.id }
 func (p *Peer) Handler() node.Handler { return p.mux }
 
 // Join bootstraps the peer into the overlay via an existing member.
-func (p *Peer) Join(contact NodeID) { p.pss.Join(contact) }
+func (p *Peer) Join(contact NodeID) { p.sys.Join(contact) }
 
 // Publish injects the next message of a stream this peer sources.
 func (p *Peer) Publish(stream StreamID, payload []byte) uint32 {
-	return p.brisa.Publish(stream, payload)
+	return p.sys.Publish(stream, payload)
 }
 
 // BlobOptions tunes PublishBlob. The zero value means 64 KiB chunks with no
@@ -292,6 +380,9 @@ type BlobOptions struct {
 // Have/Want repair path. Returns the per-stream blob id (from 1). The
 // caller must not modify data afterwards.
 func (p *Peer) PublishBlob(stream StreamID, data []byte, opts BlobOptions) (uint32, error) {
+	if p.brisa == nil {
+		return 0, fmt.Errorf("brisa: the baseline modes disseminate no blobs")
+	}
 	cs := opts.ChunkSize
 	if cs <= 0 {
 		cs = blob.DefaultChunkSize
@@ -309,40 +400,75 @@ func (p *Peer) PublishBlob(stream StreamID, data []byte, opts BlobOptions) (uint
 
 // BlobsDelivered returns how many blobs of the stream this peer holds
 // intact (reconstructed or locally published).
-func (p *Peer) BlobsDelivered(stream StreamID) uint64 { return p.brisa.BlobsDelivered(stream) }
+func (p *Peer) BlobsDelivered(stream StreamID) uint64 {
+	if p.brisa == nil {
+		return 0
+	}
+	return p.brisa.BlobsDelivered(stream)
+}
 
 // BlobStats returns the per-stream blob dissemination counters.
-func (p *Peer) BlobStats(stream StreamID) BlobStats { return p.brisa.BlobStats(stream) }
+func (p *Peer) BlobStats(stream StreamID) BlobStats {
+	if p.brisa == nil {
+		return BlobStats{}
+	}
+	return p.brisa.BlobStats(stream)
+}
 
 // Neighbors returns the current HyParView active view. The slice is the
 // caller's to keep: the PSS-internal snapshot is copied out.
-func (p *Peer) Neighbors() []NodeID { return ids.Clone(p.pss.Active()) }
+func (p *Peer) Neighbors() []NodeID {
+	if p.pss == nil {
+		return nil
+	}
+	return ids.Clone(p.pss.Active())
+}
 
 // Parents returns the peer's current parents for a stream.
-func (p *Peer) Parents(stream StreamID) []NodeID { return p.brisa.Parents(stream) }
+func (p *Peer) Parents(stream StreamID) []NodeID { return p.sys.Parents(stream) }
 
 // Children returns the neighbors the peer currently relays a stream to.
-func (p *Peer) Children(stream StreamID) []NodeID { return p.brisa.Children(stream) }
+func (p *Peer) Children(stream StreamID) []NodeID {
+	if p.brisa == nil {
+		return nil
+	}
+	return p.brisa.Children(stream)
+}
 
 // Depth returns the peer's structural depth for a stream.
-func (p *Peer) Depth(stream StreamID) (int, bool) { return p.brisa.Depth(stream) }
+func (p *Peer) Depth(stream StreamID) (int, bool) {
+	if p.brisa == nil {
+		return 0, false
+	}
+	return p.brisa.Depth(stream)
+}
 
 // DeliveredCount returns how many distinct messages the peer delivered.
-func (p *Peer) DeliveredCount(stream StreamID) uint64 { return p.brisa.DeliveredCount(stream) }
+func (p *Peer) DeliveredCount(stream StreamID) uint64 { return p.sys.DeliveredCount(stream) }
 
 // IsOrphan reports whether the peer is currently cut off from the stream.
-func (p *Peer) IsOrphan(stream StreamID) bool { return p.brisa.IsOrphan(stream) }
+func (p *Peer) IsOrphan(stream StreamID) bool { return p.sys.IsOrphan(stream) }
 
 // ConstructionTime returns the Figure 13 metric for this peer.
 func (p *Peer) ConstructionTime(stream StreamID) (time.Duration, bool) {
-	return p.brisa.ConstructionTime(stream)
+	return p.sys.ConstructionTime(stream)
 }
 
-// Metrics returns the BRISA protocol counters.
-func (p *Peer) Metrics() Metrics { return p.brisa.Metrics() }
+// Metrics returns the protocol counters.
+func (p *Peer) Metrics() Metrics { return p.sys.Metrics() }
 
 // PSSMetrics returns the HyParView protocol counters.
-func (p *Peer) PSSMetrics() hyparview.Metrics { return p.pss.Metrics() }
+func (p *Peer) PSSMetrics() hyparview.Metrics {
+	if p.pss == nil {
+		return hyparview.Metrics{}
+	}
+	return p.pss.Metrics()
+}
 
 // RTT returns the keep-alive RTT estimate for an active neighbor.
-func (p *Peer) RTT(peer NodeID) time.Duration { return p.pss.RTT(peer) }
+func (p *Peer) RTT(peer NodeID) time.Duration {
+	if p.pss == nil {
+		return 0
+	}
+	return p.pss.RTT(peer)
+}

@@ -303,12 +303,12 @@ func TestDelayAwareReducesRoutingDelay(t *testing.T) {
 	if missFC != 0 || missDA != 0 {
 		t.Errorf("incomplete dissemination: first-come missing %d peers, delay-aware %d", missFC, missDA)
 	}
-	// Deviation from the paper, documented in EXPERIMENTS.md (Figure 9): in
-	// the simulator, first arrival is noise-free, so first-come builds a
-	// shortest-arrival tree that greedy min-RTT selection cannot beat. We
-	// assert here only that delay-aware remains correct and non-degenerate
-	// (no silent cycles, no starvation) — within a small factor of
-	// first-come rather than ahead of it.
+	// Deviation from the paper (Figure 9; `go run ./cmd/brisa-figures fig9`
+	// shows the two series): in the simulator, first arrival is noise-free,
+	// so first-come builds a shortest-arrival tree that greedy min-RTT
+	// selection cannot beat. We assert here only that delay-aware remains
+	// correct and non-degenerate (no silent cycles, no starvation) — within a
+	// small factor of first-come rather than ahead of it.
 	if delayAware > firstCome*4 {
 		t.Errorf("delay-aware median routing delay (%v) degenerate vs first-come (%v)", delayAware, firstCome)
 	}

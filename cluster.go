@@ -203,7 +203,7 @@ func (c *Cluster) addPeer() (*Peer, error) {
 	c.next++
 	id := NodeID(c.next)
 	pcfg := c.peerConfig(idx, id)
-	p, err := NewPeer(id, pcfg)
+	p, err := newPeer(id, pcfg, c.cfg.Nodes)
 	if err != nil {
 		c.next--
 		return nil, err

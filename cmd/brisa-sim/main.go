@@ -17,6 +17,7 @@
 //	brisa-sim -nodes 8 -messages 0 -blob 262144 -runtime live # blob over real sockets
 //	brisa-sim -nodes 256 -loss 0.05 -reorder 0.1              # lossy links (sim only)
 //	brisa-sim -nodes 64 -partition 5s-15s:0.3:asym -buffer 32 # one-way split + bounded buffers
+//	brisa-sim -nodes 64 -mode tag -messages 50                # a §III-D baseline under the same harness
 //
 // The -runtime flag resolves against brisa.Runtimes(); every scenario —
 // churn scripts and traffic probes included — runs on either runtime.
@@ -82,7 +83,7 @@ func exitOn(err error) {
 func main() {
 	var (
 		nodes    = flag.Int("nodes", 128, "network size")
-		mode     = flag.String("mode", "tree", "structure: flood | tree | dag")
+		mode     = flag.String("mode", "tree", "system: flood | tree | dag (BRISA structures), or a comparison baseline: simpletree | simplegossip | tag (sim runtime only; -view is TAG's child capacity)")
 		parents  = flag.Int("parents", 2, "DAG parent target")
 		view     = flag.Int("view", 4, "HyParView active view size")
 		strategy = flag.String("strategy", "first-come", "parent selection: first-come | delay-aware | gerontocratic | load-balancing")
@@ -113,17 +114,13 @@ func main() {
 	)
 	flag.Parse()
 
-	var m brisa.Mode
-	switch *mode {
-	case "flood":
-		m = brisa.ModeFlood
-	case "tree":
-		m = brisa.ModeTree
-	case "dag":
-		m = brisa.ModeDAG
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
+	// Mode values are contiguous and their names are the flag's vocabulary.
+	m := brisa.ModeFlood
+	for m.String() != *mode {
+		if m++; m > brisa.ModeTAG {
+			fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+			os.Exit(2)
+		}
 	}
 	var strat brisa.Strategy
 	switch *strategy {
@@ -144,7 +141,10 @@ func main() {
 	if *planet {
 		latency = brisa.PlanetLab()
 	}
-	peerCfg := brisa.Config{Mode: m, ViewSize: *view, Strategy: strat}
+	peerCfg := brisa.Config{Mode: m, ViewSize: *view}
+	if m <= brisa.ModeDAG { // the baselines select no parents
+		peerCfg.Strategy = strat
+	}
 	if m == brisa.ModeDAG {
 		peerCfg.Parents = *parents
 	}

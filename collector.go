@@ -228,7 +228,7 @@ func (col *collector) register(id NodeID) (accs []*nodeAcc, baccs []*blobAcc, ha
 // shard-local on the simulator, wall on the live runtime).
 func (col *collector) instrument(p *Peer) {
 	id := p.ID()
-	now := p.brisa.Now
+	now := p.sys.Now
 	accs, baccs, hard := col.register(id)
 	wantDups := col.sc.probed(ProbeDuplicates)
 	wantRepairs := hard != nil
@@ -245,7 +245,7 @@ func (col *collector) instrument(p *Peer) {
 	if col.sc.probed(ProbeLatency) {
 		for wi := range col.ws {
 			wi, acc := wi, accs[wi]
-			cancel := p.brisa.SubscribeFn(col.ws[wi].w.Stream, func(seq uint32, _ []byte) {
+			cancel := p.sys.SubscribeFn(col.ws[wi].w.Stream, func(seq uint32, _ []byte) {
 				col.delivered(wi, acc, id, seq, now())
 			})
 			col.addCancel(cancel)
@@ -254,7 +254,7 @@ func (col *collector) instrument(p *Peer) {
 	if !wantDups && !wantRepairs {
 		return
 	}
-	cancel := p.brisa.SubscribeEvents(func(ev Event) {
+	cancel := p.sys.SubscribeEvents(func(ev Event) {
 		switch {
 		case wantDups && ev.Type == EvDuplicate:
 			for wi := range col.ws {

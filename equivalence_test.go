@@ -35,10 +35,42 @@ import (
 // and the shard count stays correct regardless of parallel hardware.
 var equivalenceWorkerCounts = []int{2, 8}
 
-// TestEngineEquivalence runs every golden scenario on the sequential engine
-// and on each sharded configuration, requiring byte-identical Reports.
+// baselineCases are the §III-D comparison systems as scenarios, TAG a second
+// time under churn with the repairs probe. They pin no golden file: the
+// engine contract — the same Report on every worker count — compares runs
+// within one commit.
+func baselineCases() []goldenCase {
+	sc := func(name string, mode brisa.Mode) brisa.Scenario {
+		return brisa.Scenario{
+			Name: name,
+			Seed: 23,
+			Topology: brisa.Topology{
+				Nodes: 64,
+				Peer:  brisa.Config{Mode: mode, ViewSize: 4},
+			},
+			Workloads: []brisa.Workload{
+				{Stream: 1, Messages: 40, Payload: 256},
+			},
+			Probes: []brisa.Probe{brisa.ProbeLatency, brisa.ProbeTraffic},
+			Drain:  20 * time.Second,
+		}
+	}
+	churn := sc("tag-churn-1x64", brisa.ModeTAG)
+	churn.Churn = &brisa.Churn{Script: "from 0s to 8s const churn 15% each 2s", Start: time.Second}
+	churn.Probes = append(churn.Probes, brisa.ProbeRepairs)
+	return []goldenCase{
+		{name: "simpletree", sc: sc("simpletree-1x64", brisa.ModeSimpleTree)},
+		{name: "simplegossip", sc: sc("simplegossip-1x64", brisa.ModeSimpleGossip)},
+		{name: "tag", sc: sc("tag-1x64", brisa.ModeTAG)},
+		{name: "tag-churn", sc: churn},
+	}
+}
+
+// TestEngineEquivalence runs every golden scenario and every baseline system
+// on the sequential engine and on each sharded configuration, requiring
+// byte-identical Reports.
 func TestEngineEquivalence(t *testing.T) {
-	for _, gc := range goldenCases() {
+	for _, gc := range append(goldenCases(), baselineCases()...) {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
 			want := runGolden(t, gc.sc, 1)
@@ -53,36 +85,46 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestEquivalenceForcedParallel re-runs the multistream golden with the
-// inline-window optimization disabled (every multi-shard window fans out to
-// worker goroutines), so the cross-goroutine code path is exercised at the
-// full protocol stack — and, in CI, under -race. A scenario this small
-// would otherwise mostly run inline.
+// TestEquivalenceForcedParallel re-runs the multistream golden and the
+// baseline systems with the inline-window optimization disabled (every
+// multi-shard window fans out to worker goroutines), so the cross-goroutine
+// code path is exercised at the full protocol stack — and, in CI, under
+// -race. A scenario this small would otherwise mostly run inline. The
+// tag-churn case is where every shard reports hard repairs at once: the
+// collector keeps one sample per node, where Figure 14 once appended to a
+// single shared one from all of them.
 func TestEquivalenceForcedParallel(t *testing.T) {
-	gc := goldenCases()[1]
-	want := runGolden(t, gc.sc, 1)
+	for _, gc := range append([]goldenCase{goldenCases()[1]}, baselineCases()...) {
+		gc := gc
+		t.Run(gc.name, func(t *testing.T) {
+			want := runGolden(t, gc.sc, 1)
 
-	cfg := brisa.ClusterConfig{
-		Nodes:             gc.sc.Topology.Nodes,
-		Peer:              gc.sc.Topology.Peer,
-		Seed:              gc.sc.Seed,
-		Workers:           4,
-		ParallelThreshold: -1,
-	}
-	c, err := brisa.NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.Workers(); got != 4 {
-		t.Fatalf("cluster Workers() = %d, want 4", got)
-	}
-	rep, err := brisa.Run(nil, brisa.SimRuntime{Cluster: c}, gc.sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := normalizeReport(t, rep); !bytes.Equal(got, want) {
-		t.Errorf("forced-parallel run diverged from the sequential engine\nsequential:\n%s\nparallel:\n%s", want, got)
+			cfg := brisa.ClusterConfig{
+				Nodes:             gc.sc.Topology.Nodes,
+				Peer:              gc.sc.Topology.Peer,
+				Seed:              gc.sc.Seed,
+				Workers:           4,
+				ParallelThreshold: -1,
+			}
+			c, err := brisa.NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if got := c.Workers(); got != 4 {
+				t.Fatalf("cluster Workers() = %d, want 4", got)
+			}
+			rep, err := brisa.Run(nil, brisa.SimRuntime{Cluster: c}, gc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := normalizeReport(t, rep); !bytes.Equal(got, want) {
+				t.Errorf("forced-parallel run diverged from the sequential engine\nsequential:\n%s\nparallel:\n%s", want, got)
+			}
+			if gc.sc.Churn != nil && rep.Churn.HardDelays.Len() == 0 {
+				t.Error("the churn script provoked no hard repair: the case no longer covers the repair fold")
+			}
+		})
 	}
 }
 

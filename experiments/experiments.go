@@ -7,7 +7,8 @@
 // Every experiment accepts a Scale in (0,1]: 1 reproduces the paper's
 // dimensions (512 nodes, 500 messages, …); smaller values shrink the
 // workload proportionally so the benchmark suite stays fast. Shapes are
-// stable under scaling; EXPERIMENTS.md records full-scale results.
+// stable under scaling; `go run ./cmd/brisa-figures <name>` runs one at full
+// scale.
 package experiments
 
 import (

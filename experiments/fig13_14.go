@@ -5,9 +5,6 @@ import (
 	"time"
 
 	brisa "repro"
-	tagproto "repro/internal/baselines/tag"
-	"repro/internal/ids"
-	"repro/internal/simnet"
 )
 
 // RunFigure13 reproduces Figure 13: the CDF of structure construction time
@@ -26,14 +23,14 @@ func RunFigure13(scale Scale, seed int64) FigureResult {
 			clusterNodes, plNodes),
 	}
 
-	brisaRun := func(nodes int, latency brisa.LatencyModel) *brisa.Dist {
+	run := func(mode brisa.Mode, nodes int, latency brisa.LatencyModel) []brisa.CDFPoint {
 		rep := mustRun(brisa.Scenario{
 			Name: "fig13",
 			Seed: seed,
 			Topology: brisa.Topology{
 				Nodes:   nodes,
 				Latency: latency,
-				Peer:    brisa.Config{Mode: brisa.ModeTree, ViewSize: 4},
+				Peer:    brisa.Config{Mode: mode, ViewSize: 4},
 			},
 			Workloads: []brisa.Workload{
 				{Stream: Stream, Messages: 25, Payload: 1024},
@@ -41,27 +38,14 @@ func RunFigure13(scale Scale, seed int64) FigureResult {
 			Probes: []brisa.Probe{brisa.ProbeConstruction},
 			Drain:  10 * time.Second,
 		})
-		return rep.Stream(Stream).Construction
-	}
-	tagRun := func(nodes int, latency simnet.LatencyModel) *brisa.Dist {
-		tc := newTagCluster(nodes, seed, latency, func(self ids.NodeID) tagproto.Config {
-			return tagproto.Config{}
-		})
-		tc.stabilize(nodes)
-		s := &brisa.Dist{}
-		for _, p := range tc.peers[1:] {
-			if d, ok := p.SettleTime(); ok {
-				s.AddDuration(d)
-			}
-		}
-		return s
+		return rep.Stream(Stream).Construction.CDF(24)
 	}
 
 	result.Series = append(result.Series,
-		Series{Name: "Brisa, cluster", Points: brisaRun(clusterNodes, brisa.ClusterLatency()).CDF(24)},
-		Series{Name: "Tag, cluster", Points: tagRun(clusterNodes, simnet.Cluster()).CDF(24)},
-		Series{Name: "Brisa, PlanetLab", Points: brisaRun(plNodes, brisa.PlanetLab()).CDF(24)},
-		Series{Name: "Tag, PlanetLab", Points: tagRun(plNodes, simnet.PlanetLab()).CDF(24)},
+		Series{Name: "Brisa, cluster", Points: run(brisa.ModeTree, clusterNodes, brisa.ClusterLatency())},
+		Series{Name: "Tag, cluster", Points: run(brisa.ModeTAG, clusterNodes, brisa.ClusterLatency())},
+		Series{Name: "Brisa, PlanetLab", Points: run(brisa.ModeTree, plNodes, brisa.PlanetLab())},
+		Series{Name: "Tag, PlanetLab", Points: run(brisa.ModeTAG, plNodes, brisa.PlanetLab())},
 	)
 	return result
 }
@@ -81,51 +65,12 @@ func RunFigure14(scale Scale, seed int64) FigureResult {
 			nodes, window),
 	}
 
-	// BRISA: hard-repair recovery delays come out of the churn scenario's
-	// repairs probe.
-	brisaOut := runChurn(nodes, seed, brisa.ModeTree, 3, window)
-	result.Series = append(result.Series, Series{
-		Name:   "BRISA tree",
-		Points: brisaOut.HardDelays.CDF(24),
-	})
-
-	// TAG: same churn shape on a TAG cluster; hard repairs are re-insertions
-	// through the source after the list broke.
-	tagDelays := &brisa.Dist{}
-	tc := newTagCluster(nodes, seed, simnet.Cluster(), func(self ids.NodeID) tagproto.Config {
-		return tagproto.Config{
-			OnRepair: func(hard bool, d time.Duration) {
-				if hard {
-					tagDelays.AddDuration(d)
-				}
-			},
-		}
-	})
-	tc.stabilize(nodes)
-	// Continuous stream so pulls keep flowing.
-	total := int(window/MessageInterval) + 100
-	for i := 0; i < total; i++ {
-		i := i
-		tc.net.After(time.Duration(i)*MessageInterval, func() {
-			tc.peers[0].Publish(Stream, make([]byte, 1024))
-		})
-	}
-	// Churn: every 60s, fail 3% and join 3%.
-	for at := time.Duration(0); at < window; at += time.Minute {
-		at := at
-		tc.net.After(at, func() {
-			n := len(tc.net.NodeIDs())
-			k := int(float64(n)*0.03 + 0.5)
-			for i := 0; i < k; i++ {
-				tc.crashRandom()
-				tc.joinNew()
-			}
-		})
-	}
-	tc.net.RunFor(window + 30*time.Second)
-	result.Series = append(result.Series, Series{
-		Name:   "TAG",
-		Points: tagDelays.CDF(24),
-	})
+	// Hard-repair recovery delays come out of the churn scenario's repairs
+	// probe: for BRISA the flood fallback, for TAG the re-insertions through
+	// the source after the list broke.
+	result.Series = append(result.Series,
+		Series{Name: "BRISA tree", Points: runChurn(nodes, seed, brisa.ModeTree, 3, window).HardDelays.CDF(24)},
+		Series{Name: "TAG", Points: runChurn(nodes, seed, brisa.ModeTAG, 3, window).HardDelays.CDF(24)},
+	)
 	return result
 }

@@ -12,7 +12,7 @@ import (
 // for four series: direct point-to-point communication, the delay-aware
 // strategy, the first-come first-picked strategy, and plain flooding.
 //
-// Metric note (recorded in EXPERIMENTS.md): the paper reports cumulative
+// Metric note: the paper reports cumulative
 // per-hop round-trip times; we report one-way source-to-node delivery
 // delays per message (mean per node, the Report's NodeDelays), with the
 // point-to-point series as the direct one-way latency. The comparison

@@ -10,6 +10,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/baselines/kit"
 	"repro/internal/cyclon"
 	"repro/internal/ids"
 	"repro/internal/node"
@@ -25,8 +26,6 @@ type Config struct {
 	AntiEntropyPeriod time.Duration
 	// Cyclon configures the underlying PSS.
 	Cyclon cyclon.Config
-	// OnDeliver receives every newly delivered payload.
-	OnDeliver func(stream wire.StreamID, seq uint32, payload []byte)
 }
 
 // FanoutFor returns the paper's fanout for a network of n nodes: ceil(ln n).
@@ -37,97 +36,14 @@ func FanoutFor(n int) int {
 	return int(math.Ceil(math.Log(float64(n))))
 }
 
-// Metrics counts per-peer activity.
-type Metrics struct {
-	Delivered        uint64
-	Duplicates       uint64
-	RumorsSent       uint64
-	AntiEntropyAsks  uint64
-	AntiEntropyItems uint64
-}
-
-// streamState tracks one stream at one peer.
-type streamState struct {
-	started    bool
-	base       uint32
-	contigUpTo uint32
-	sparse     map[uint32]struct{}
-	payloads   map[uint32][]byte // full buffer: anti-entropy must serve any seq
-	nextSeq    uint32
-}
-
-func newStreamState() *streamState {
-	return &streamState{
-		sparse:   make(map[uint32]struct{}),
-		payloads: make(map[uint32][]byte),
-	}
-}
-
-func (s *streamState) delivered(seq uint32) bool {
-	if !s.started {
-		return false
-	}
-	if seq < s.base || seq < s.contigUpTo {
-		return true
-	}
-	_, ok := s.sparse[seq]
-	return ok
-}
-
-func (s *streamState) mark(seq uint32, payload []byte) {
-	if !s.started {
-		s.started = true
-		// Anti-entropy guarantees completeness over the whole stream
-		// (§III-D(a)), so the baseline is always sequence 1: holes before
-		// the first rumor a node happened to catch are chased too.
-		s.base = 1
-		s.contigUpTo = 1
-	}
-	s.sparse[seq] = struct{}{}
-	s.payloads[seq] = payload
-	for {
-		if _, ok := s.sparse[s.contigUpTo]; !ok {
-			break
-		}
-		delete(s.sparse, s.contigUpTo)
-		s.contigUpTo++
-	}
-}
-
-func (s *streamState) missingBelow(limit int) []uint32 {
-	out := make([]uint32, 0, 8)
-	// Sparse deliveries above contigUpTo imply holes below them; list the
-	// holes between contigUpTo and the highest sparse seq.
-	var hi uint32
-	for seq := range s.sparse {
-		if seq > hi {
-			hi = seq
-		}
-	}
-	for seq := s.contigUpTo; seq < hi && len(out) < limit; seq++ {
-		if _, ok := s.sparse[seq]; !ok {
-			out = append(out, seq)
-		}
-	}
-	return out
-}
-
 // Peer is one SimpleGossip node: Cyclon + rumor mongering + anti-entropy.
+// Every stream buffers all of its payloads: anti-entropy must serve any seq.
 type Peer struct {
-	node.BaseProto
+	kit.Base
 	cfg     Config
-	env     node.Env
 	pss     *cyclon.Protocol
-	streams map[wire.StreamID]*streamState
-	outbox  []queued
-	metrics Metrics
 	stopped bool
 	timer   node.Timer
-}
-
-type queued struct {
-	to ids.NodeID
-	m  wire.Message
 }
 
 // New builds a peer and its Cyclon instance.
@@ -142,20 +58,15 @@ func New(cfg Config) *Peer {
 		cfg.Cyclon = cyclon.DefaultConfig()
 	}
 	return &Peer{
-		cfg:     cfg,
-		pss:     cyclon.New(cfg.Cyclon),
-		streams: make(map[wire.StreamID]*streamState),
+		Base: kit.Base{Buffer: true},
+		cfg:  cfg,
+		pss:  cyclon.New(cfg.Cyclon),
 	}
 }
 
-// Now returns the node's own clock — the one instrumentation callbacks must
-// read: under the sharded simulator the network-level clock is only valid at
-// barriers.
-func (p *Peer) Now() time.Time { return p.env.Now() }
-
 // Handler returns the actor to register with a runtime: the Cyclon layer
 // and the gossip layer on one mux.
-func (p *Peer) Handler() node.Handler {
+func (p *Peer) Handler() *node.Mux {
 	mux := node.NewMux()
 	mux.Register(p.pss, cyclon.Kinds()...)
 	mux.Register(p, wire.KindRumor, wire.KindAntiEntropyRequest, wire.KindAntiEntropyReply)
@@ -165,24 +76,23 @@ func (p *Peer) Handler() node.Handler {
 // Join seeds the Cyclon view.
 func (p *Peer) Join(contact ids.NodeID) { p.pss.Join(contact) }
 
-// Metrics returns the peer's counters.
-func (p *Peer) Metrics() Metrics { return p.metrics }
-
 // View exposes the Cyclon view (tests).
 func (p *Peer) View() []ids.NodeID { return p.pss.View() }
 
-// DeliveredCount returns how many distinct messages were delivered.
-func (p *Peer) DeliveredCount(stream wire.StreamID) uint64 {
-	st, ok := p.streams[stream]
-	if !ok || !st.started {
-		return 0
-	}
-	return uint64(st.contigUpTo-st.base) + uint64(len(st.sparse))
-}
+// Parents, IsOrphan and ConstructionTime answer the harness's structure
+// questions: gossip builds no structure, so there is nothing to hold, lose or
+// construct.
+func (p *Peer) Parents(wire.StreamID) []ids.NodeID { return nil }
+
+// IsOrphan is always false; see Parents.
+func (p *Peer) IsOrphan(wire.StreamID) bool { return false }
+
+// ConstructionTime is never available; see Parents.
+func (p *Peer) ConstructionTime(wire.StreamID) (time.Duration, bool) { return 0, false }
 
 // Start implements node.Proto.
 func (p *Peer) Start(env node.Env) {
-	p.env = env
+	p.Env = env
 	delay := time.Duration(env.Rand().Int63n(int64(p.cfg.AntiEntropyPeriod)))
 	p.timer = env.After(p.cfg.AntiEntropyPeriod+delay, p.antiEntropyTick)
 }
@@ -195,25 +105,18 @@ func (p *Peer) Stop() {
 	}
 }
 
-func (p *Peer) stream(id wire.StreamID) *streamState {
-	st, ok := p.streams[id]
-	if !ok {
-		st = newStreamState()
-		p.streams[id] = st
-	}
+// stream returns a stream's window, pinned at sequence 1: anti-entropy
+// guarantees completeness over the whole stream (§III-D(a)), so holes before
+// the first rumor a node happened to catch are chased too.
+func (p *Peer) stream(id wire.StreamID) *kit.Stream {
+	st := p.Stream(id)
+	st.StartAt(1)
 	return st
 }
 
 // Publish injects the next message of a stream this peer sources.
 func (p *Peer) Publish(id wire.StreamID, payload []byte) uint32 {
-	st := p.stream(id)
-	if st.nextSeq == 0 {
-		st.nextSeq = 1
-	}
-	seq := st.nextSeq
-	st.nextSeq++
-	st.mark(seq, payload)
-	p.metrics.Delivered++
+	seq := p.Originate(p.stream(id), payload)
 	p.push(id, seq, payload, ids.Nil)
 	return seq
 }
@@ -228,8 +131,7 @@ func (p *Peer) push(id wire.StreamID, seq uint32, payload []byte, except ids.Nod
 		if t == except || sent >= p.cfg.Fanout {
 			continue
 		}
-		p.sendTo(t, msg)
-		p.metrics.RumorsSent++
+		p.SendTo(t, msg)
 		sent++
 	}
 }
@@ -238,21 +140,19 @@ func (p *Peer) antiEntropyTick() {
 	if p.stopped {
 		return
 	}
-	defer func() { p.timer = p.env.After(p.cfg.AntiEntropyPeriod, p.antiEntropyTick) }()
+	defer func() { p.timer = p.Env.After(p.cfg.AntiEntropyPeriod, p.antiEntropyTick) }()
 	view := p.pss.Sample(1)
 	if len(view) == 0 {
 		return
 	}
-	target := view[0]
-	for id, st := range p.streams {
-		if !st.started {
-			continue
+	for _, st := range p.Streams() {
+		if !st.Started {
+			continue // only asked about so far, nothing received
 		}
-		p.metrics.AntiEntropyAsks++
-		p.sendTo(target, wire.AntiEntropyRequest{
-			Stream:  id,
-			UpTo:    st.contigUpTo,
-			Missing: st.missingBelow(64),
+		p.SendTo(view[0], wire.AntiEntropyRequest{
+			Stream:  st.ID,
+			UpTo:    st.UpTo,
+			Missing: st.Missing(64),
 		})
 	}
 }
@@ -261,40 +161,34 @@ func (p *Peer) antiEntropyTick() {
 func (p *Peer) Receive(from ids.NodeID, m wire.Message) {
 	switch msg := m.(type) {
 	case wire.Rumor:
-		p.onRumor(from, msg)
+		// Infect and die: a duplicate is dropped, a first reception pushed on.
+		if p.Deliver(p.stream(msg.Stream), from, msg.Seq, msg.Payload) {
+			p.push(msg.Stream, msg.Seq, msg.Payload, from)
+		}
 	case wire.AntiEntropyRequest:
 		p.onAERequest(from, msg)
 	case wire.AntiEntropyReply:
-		p.onAEReply(from, msg)
+		// Recovered messages are not pushed further: anti-entropy heals
+		// locally; rumor mongering already seeded the epidemic.
+		st := p.stream(msg.Stream)
+		for _, it := range msg.Items {
+			p.Deliver(st, from, it.Seq, it.Payload)
+		}
 	}
-}
-
-func (p *Peer) onRumor(from ids.NodeID, m wire.Rumor) {
-	st := p.stream(m.Stream)
-	if st.delivered(m.Seq) {
-		p.metrics.Duplicates++
-		return // infect and die: duplicates are dropped silently
-	}
-	st.mark(m.Seq, m.Payload)
-	p.metrics.Delivered++
-	if p.cfg.OnDeliver != nil {
-		p.cfg.OnDeliver(m.Stream, m.Seq, m.Payload)
-	}
-	p.push(m.Stream, m.Seq, m.Payload, from)
 }
 
 func (p *Peer) onAERequest(from ids.NodeID, m wire.AntiEntropyRequest) {
-	st := p.stream(m.Stream)
+	st := p.Stream(m.Stream)
 	var items []wire.StreamItem
 	// Serve the explicitly missing seqs first, then anything at or above
 	// the requester's contiguous mark.
 	for _, seq := range m.Missing {
-		if payload, ok := st.payloads[seq]; ok {
+		if payload, ok := st.Payload(seq); ok {
 			items = append(items, wire.StreamItem{Seq: seq, Payload: payload})
 		}
 	}
 	for seq := m.UpTo; len(items) < 64; seq++ {
-		payload, ok := st.payloads[seq]
+		payload, ok := st.Payload(seq)
 		if !ok {
 			break
 		}
@@ -303,60 +197,5 @@ func (p *Peer) onAERequest(from ids.NodeID, m wire.AntiEntropyRequest) {
 	if len(items) == 0 {
 		return
 	}
-	p.metrics.AntiEntropyItems += uint64(len(items))
-	p.sendTo(from, wire.AntiEntropyReply{Stream: m.Stream, Items: items})
-}
-
-func (p *Peer) onAEReply(from ids.NodeID, m wire.AntiEntropyReply) {
-	st := p.stream(m.Stream)
-	for _, it := range m.Items {
-		if st.delivered(it.Seq) {
-			p.metrics.Duplicates++
-			continue
-		}
-		st.mark(it.Seq, it.Payload)
-		p.metrics.Delivered++
-		if p.cfg.OnDeliver != nil {
-			p.cfg.OnDeliver(m.Stream, it.Seq, it.Payload)
-		}
-		// Recovered messages are not pushed further: anti-entropy heals
-		// locally; rumor mongering already seeded the epidemic.
-	}
-}
-
-// sendTo delivers over an existing or freshly dialed connection.
-func (p *Peer) sendTo(to ids.NodeID, m wire.Message) {
-	if to == p.env.ID() {
-		return
-	}
-	if p.env.Connected(to) {
-		p.env.Send(to, m)
-		return
-	}
-	p.outbox = append(p.outbox, queued{to: to, m: m})
-	p.env.Connect(to)
-}
-
-// ConnUp implements node.Proto.
-func (p *Peer) ConnUp(peer ids.NodeID) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to == peer {
-			p.env.Send(peer, q.m)
-		} else {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
-}
-
-// ConnDown implements node.Proto.
-func (p *Peer) ConnDown(peer ids.NodeID, err error) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to != peer {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
+	p.SendTo(from, wire.AntiEntropyReply{Stream: m.Stream, Items: items})
 }

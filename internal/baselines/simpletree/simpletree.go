@@ -10,156 +10,84 @@ package simpletree
 import (
 	"time"
 
+	"repro/internal/baselines/kit"
 	"repro/internal/ids"
 	"repro/internal/node"
 	"repro/internal/wire"
 )
 
-// Metrics counts per-peer activity.
-type Metrics struct {
-	Delivered  uint64
-	Duplicates uint64
-	Relayed    uint64
-}
-
 // Peer is one SimpleTree node. The peer hosting Coordinator() additionally
 // assigns parents.
 type Peer struct {
-	node.BaseProto
-	env   node.Env
+	kit.Base
 	coord ids.NodeID // the coordinator's id
 	// Coordinator state (only used on the coordinator itself).
 	isCoord bool
 	joined  []ids.NodeID
 
-	parent    ids.NodeID
-	children  *ids.Set
-	attached  bool
-	outbox    []queued
-	streams   map[wire.StreamID]*streamState
-	metrics   Metrics
-	onDeliver func(stream wire.StreamID, seq uint32, payload []byte)
-}
-
-type queued struct {
-	to ids.NodeID
-	m  wire.Message
-}
-
-type streamState struct {
-	started    bool
-	base       uint32
-	contigUpTo uint32
-	sparse     map[uint32]struct{}
-	nextSeq    uint32
+	parent   ids.NodeID
+	children *ids.Set
+	asked    bool // a join request went out
 }
 
 // New builds a peer. coord names the coordinator node; the peer whose own
 // id equals coord acts as coordinator and tree root.
-func New(self, coord ids.NodeID, onDeliver func(wire.StreamID, uint32, []byte)) *Peer {
+func New(self, coord ids.NodeID) *Peer {
 	return &Peer{
-		coord:     coord,
-		isCoord:   self == coord,
-		children:  ids.NewSet(),
-		streams:   make(map[wire.StreamID]*streamState),
-		onDeliver: onDeliver,
+		coord:    coord,
+		isCoord:  self == coord,
+		children: ids.NewSet(),
 	}
 }
 
-// Now returns the node's own clock — the one instrumentation callbacks must
-// read: under the sharded simulator the network-level clock is only valid at
-// barriers.
-func (p *Peer) Now() time.Time { return p.env.Now() }
-
 // Handler returns the actor to register with a runtime.
-func (p *Peer) Handler() node.Handler {
+func (p *Peer) Handler() *node.Mux {
 	mux := node.NewMux()
 	mux.Register(p, wire.KindCoordJoin, wire.KindCoordAssign, wire.KindTreeData)
 	return mux
 }
 
-// Metrics returns the peer's counters.
-func (p *Peer) Metrics() Metrics { return p.metrics }
-
-// Parent returns the peer's tree parent (Nil for the root).
+// Parent returns the peer's tree parent (Nil for the root, and for a node
+// whose parent died).
 func (p *Peer) Parent() ids.NodeID { return p.parent }
+
+// Parents returns the tree parent as the harness's per-stream parent list;
+// the one tree carries every stream.
+func (p *Peer) Parents(wire.StreamID) []ids.NodeID { return kit.ParentList(p.parent) }
+
+// IsOrphan reports whether the peer has no place in the tree: not yet
+// assigned, or cut off for good by its parent's death.
+func (p *Peer) IsOrphan(wire.StreamID) bool { return !p.isCoord && p.parent == ids.Nil }
+
+// ConstructionTime is not measured: the coordinator hands out positions.
+func (p *Peer) ConstructionTime(wire.StreamID) (time.Duration, bool) { return 0, false }
 
 // Children returns the peer's children, ascending.
 func (p *Peer) Children() []ids.NodeID { return p.children.Snapshot() }
 
-// DeliveredCount returns how many distinct messages were delivered.
-func (p *Peer) DeliveredCount(stream wire.StreamID) uint64 {
-	st, ok := p.streams[stream]
-	if !ok || !st.started {
-		return 0
-	}
-	return uint64(st.contigUpTo-st.base) + uint64(len(st.sparse))
-}
-
 // Start implements node.Proto.
 func (p *Peer) Start(env node.Env) {
-	p.env = env
+	p.Env = env
 	if p.isCoord {
-		p.attached = true
 		p.joined = append(p.joined, env.ID())
 	}
 }
 
-// Join asks the coordinator for a parent assignment.
-func (p *Peer) Join() {
-	if p.isCoord {
+// Join asks the coordinator for a parent assignment, once: the coordinator
+// is the only way in, so the harness's contact is not used and a repeated
+// call (its bootstrap retry) changes nothing.
+func (p *Peer) Join(ids.NodeID) {
+	if p.isCoord || p.asked {
 		return
 	}
-	p.sendTo(p.coord, wire.CoordJoin{})
-}
-
-func (p *Peer) stream(id wire.StreamID) *streamState {
-	st, ok := p.streams[id]
-	if !ok {
-		st = &streamState{sparse: make(map[uint32]struct{})}
-		p.streams[id] = st
-	}
-	return st
-}
-
-func (st *streamState) delivered(seq uint32) bool {
-	if !st.started {
-		return false
-	}
-	if seq < st.base || seq < st.contigUpTo {
-		return true
-	}
-	_, ok := st.sparse[seq]
-	return ok
-}
-
-func (st *streamState) mark(seq uint32) {
-	if !st.started {
-		st.started = true
-		st.base = seq
-		st.contigUpTo = seq
-	}
-	st.sparse[seq] = struct{}{}
-	for {
-		if _, ok := st.sparse[st.contigUpTo]; !ok {
-			break
-		}
-		delete(st.sparse, st.contigUpTo)
-		st.contigUpTo++
-	}
+	p.asked = true
+	p.SendTo(p.coord, wire.CoordJoin{})
 }
 
 // Publish pushes the next message of a stream down the tree (root only in
 // the paper's experiments, but any attached node can source a stream).
 func (p *Peer) Publish(id wire.StreamID, payload []byte) uint32 {
-	st := p.stream(id)
-	if st.nextSeq == 0 {
-		st.nextSeq = 1
-	}
-	seq := st.nextSeq
-	st.nextSeq++
-	st.mark(seq)
-	p.metrics.Delivered++
+	seq := p.Originate(p.Stream(id), payload)
 	p.relay(ids.Nil, wire.TreeData{Stream: id, Seq: seq, Payload: payload})
 	return seq
 }
@@ -167,8 +95,7 @@ func (p *Peer) Publish(id wire.StreamID, payload []byte) uint32 {
 func (p *Peer) relay(except ids.NodeID, m wire.TreeData) {
 	for _, c := range p.children.Snapshot() {
 		if c != except {
-			p.env.Send(c, m)
-			p.metrics.Relayed++
+			p.Env.Send(c, m)
 		}
 	}
 }
@@ -181,7 +108,9 @@ func (p *Peer) Receive(from ids.NodeID, m wire.Message) {
 	case wire.CoordAssign:
 		p.onAssign(msg)
 	case wire.TreeData:
-		p.onData(from, msg)
+		if p.Deliver(p.Stream(msg.Stream), from, msg.Seq, msg.Payload) {
+			p.relay(from, msg)
+		}
 	}
 }
 
@@ -192,15 +121,13 @@ func (p *Peer) onJoinRequest(from ids.NodeID) {
 	if p.isCoord {
 		// Assign a random previously joined node; the joiner then attaches
 		// to it directly.
-		parent := p.joined[p.env.Rand().Intn(len(p.joined))]
+		parent := p.joined[p.Env.Rand().Intn(len(p.joined))]
 		p.joined = append(p.joined, from)
-		if parent == p.env.ID() {
+		if parent == p.Env.ID() {
 			// Shortcut: the joiner is our own child.
 			p.children.Add(from)
-			p.sendTo(from, wire.CoordAssign{Parent: p.env.ID()})
-			return
 		}
-		p.sendTo(from, wire.CoordAssign{Parent: parent})
+		p.SendTo(from, wire.CoordAssign{Parent: parent})
 		return
 	}
 	// Attach notification from a new child.
@@ -209,56 +136,16 @@ func (p *Peer) onJoinRequest(from ids.NodeID) {
 
 func (p *Peer) onAssign(m wire.CoordAssign) {
 	p.parent = m.Parent
-	p.attached = true
 	if m.Parent != p.coord {
-		p.sendTo(m.Parent, wire.CoordJoin{}) // attach to the parent
+		p.SendTo(m.Parent, wire.CoordJoin{}) // attach to the parent
 	}
-}
-
-func (p *Peer) onData(from ids.NodeID, m wire.TreeData) {
-	st := p.stream(m.Stream)
-	if st.delivered(m.Seq) {
-		p.metrics.Duplicates++
-		return
-	}
-	st.mark(m.Seq)
-	p.metrics.Delivered++
-	if p.onDeliver != nil {
-		p.onDeliver(m.Stream, m.Seq, m.Payload)
-	}
-	p.relay(from, m)
-}
-
-func (p *Peer) sendTo(to ids.NodeID, m wire.Message) {
-	if p.env.Connected(to) {
-		p.env.Send(to, m)
-		return
-	}
-	p.outbox = append(p.outbox, queued{to: to, m: m})
-	p.env.Connect(to)
-}
-
-// ConnUp implements node.Proto.
-func (p *Peer) ConnUp(peer ids.NodeID) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to == peer {
-			p.env.Send(peer, q.m)
-		} else {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
 }
 
 // ConnDown implements node.Proto.
 func (p *Peer) ConnDown(peer ids.NodeID, err error) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to != peer {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
+	p.Base.ConnDown(peer, err)
 	p.children.Remove(peer) // no repair: SimpleTree ignores dynamism
+	if peer == p.parent {
+		p.parent = ids.Nil
+	}
 }

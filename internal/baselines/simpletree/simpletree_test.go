@@ -15,12 +15,12 @@ func buildTree(n int, seed int64) (*simnet.Network, []*Peer) {
 	peers := make([]*Peer, n)
 	for i := 0; i < n; i++ {
 		self := ids.NodeID(i + 1)
-		peers[i] = New(self, coord, nil)
+		peers[i] = New(self, coord)
 		net.AddNode(self, peers[i].Handler())
 	}
 	for i := 1; i < n; i++ {
 		i := i
-		net.At(time.Duration(i)*20*time.Millisecond, func() { peers[i].Join() })
+		net.At(time.Duration(i)*20*time.Millisecond, func() { peers[i].Join(ids.Nil) })
 	}
 	net.RunUntil(time.Duration(n)*20*time.Millisecond + 5*time.Second)
 	return net, peers

@@ -14,6 +14,8 @@ package tag
 import (
 	"time"
 
+	"repro/internal/baselines/kit"
+	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/node"
 	"repro/internal/wire"
@@ -34,11 +36,6 @@ type Config struct {
 	PullPeriod time.Duration
 	// MaxItemsPerPull caps how many messages one pull reply carries.
 	MaxItemsPerPull int
-	// OnDeliver receives every newly delivered payload.
-	OnDeliver func(stream wire.StreamID, seq uint32, payload []byte)
-	// OnRepair reports a completed parent recovery: hard marks the
-	// list-broken case where the node re-inserted through the source.
-	OnRepair func(hard bool, d time.Duration)
 }
 
 func (c Config) withDefaults() Config {
@@ -57,16 +54,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Metrics counts per-peer activity.
-type Metrics struct {
-	Delivered   uint64
-	Duplicates  uint64
-	PullsSent   uint64
-	ItemsServed uint64
-	SoftRepairs uint64
-	HardRejoins uint64
-}
-
 type walkPhase int
 
 const (
@@ -75,21 +62,11 @@ const (
 	walkProbing           // waiting for a TagJoinAccept from walkTarget
 )
 
-type streamState struct {
-	started    bool
-	base       uint32
-	contigUpTo uint32
-	sparse     map[uint32]struct{}
-	payloads   map[uint32][]byte
-	nextSeq    uint32
-	remoteUpTo uint32 // highest announced sequence; gates pulls
-}
-
-// Peer is one TAG node.
+// Peer is one TAG node. Every stream buffers all of its payloads: a pull may
+// ask for any sequence.
 type Peer struct {
-	node.BaseProto
+	kit.Base
 	cfg Config
-	env node.Env
 
 	isSource bool
 	tail     ids.NodeID // source only: current list tail
@@ -109,17 +86,12 @@ type Peer struct {
 	parentLostAt time.Time
 	repairHard   bool
 
-	streams  map[wire.StreamID]*streamState
-	outbox   []queued
-	pullFlip bool
-	metrics  Metrics
-	stopped  bool
-	timer    node.Timer
-}
-
-type queued struct {
-	to ids.NodeID
-	m  wire.Message
+	// announced is the highest sequence a neighbor advertised per stream;
+	// it gates pulls.
+	announced map[wire.StreamID]uint32
+	pullFlip  bool
+	stopped   bool
+	timer     node.Timer
 }
 
 // Kinds returns the wire kinds this protocol owns.
@@ -135,31 +107,32 @@ func Kinds() []wire.Kind {
 func New(self ids.NodeID, cfg Config) *Peer {
 	cfg = cfg.withDefaults()
 	return &Peer{
-		cfg:      cfg,
-		isSource: self == cfg.Source,
-		children: ids.NewSet(),
-		streams:  make(map[wire.StreamID]*streamState),
+		Base:      kit.Base{Buffer: true},
+		cfg:       cfg,
+		isSource:  self == cfg.Source,
+		children:  ids.NewSet(),
+		announced: make(map[wire.StreamID]uint32),
 	}
 }
 
-// Now returns the node's own clock — the one instrumentation callbacks must
-// read: under the sharded simulator the network-level clock is only valid at
-// barriers.
-func (p *Peer) Now() time.Time { return p.env.Now() }
-
 // Handler returns the actor to register with a runtime.
-func (p *Peer) Handler() node.Handler {
+func (p *Peer) Handler() *node.Mux {
 	mux := node.NewMux()
 	mux.Register(p, Kinds()...)
 	return mux
 }
 
-// Metrics returns the peer's counters.
-func (p *Peer) Metrics() Metrics { return p.metrics }
-
 // Parent returns the current tree parent (Nil for the source or while
 // recovering).
 func (p *Peer) Parent() ids.NodeID { return p.parent }
+
+// Parents returns the tree parent as the harness's per-stream parent list;
+// the one tree carries every stream.
+func (p *Peer) Parents(wire.StreamID) []ids.NodeID { return kit.ParentList(p.parent) }
+
+// IsOrphan reports whether the peer is without a tree parent: still joining,
+// or recovering from its parent's death.
+func (p *Peer) IsOrphan(wire.StreamID) bool { return !p.isSource && p.parent == ids.Nil }
 
 // Children returns the current children, ascending.
 func (p *Peer) Children() []ids.NodeID { return p.children.Snapshot() }
@@ -169,18 +142,15 @@ func (p *Peer) Children() []ids.NodeID { return p.children.Snapshot() }
 // until it settles its position").
 func (p *Peer) SettleTime() (time.Duration, bool) { return p.settleDur, p.settled }
 
-// DeliveredCount returns how many distinct messages were delivered.
-func (p *Peer) DeliveredCount(stream wire.StreamID) uint64 {
-	st, ok := p.streams[stream]
-	if !ok || !st.started {
-		return 0
-	}
-	return uint64(st.contigUpTo-st.base) + uint64(len(st.sparse))
+// ConstructionTime is SettleTime under the name the harness reads; the
+// source, which joins nothing, has none.
+func (p *Peer) ConstructionTime(wire.StreamID) (time.Duration, bool) {
+	return p.settleDur, p.settled && !p.isSource
 }
 
 // Start implements node.Proto.
 func (p *Peer) Start(env node.Env) {
-	p.env = env
+	p.Env = env
 	if p.isSource {
 		p.tail = env.ID()
 		p.settled = true
@@ -197,65 +167,25 @@ func (p *Peer) Stop() {
 	}
 }
 
-// Join starts the insertion: ask the source for the tail, then traverse.
-func (p *Peer) Join() {
-	if p.isSource || p.phase != walkIdle {
+// Join starts the insertion: ask the source for the tail, then traverse. The
+// source is the only way in, so the harness's contact is not used, and a
+// node that is walking or has settled ignores a repeated call (the harness's
+// bootstrap retry): repairs are the protocol's own business.
+func (p *Peer) Join(ids.NodeID) {
+	if p.isSource || p.phase != walkIdle || p.settled {
 		return
 	}
-	p.joinStarted = p.env.Now()
+	p.joinStarted = p.Env.Now()
 	p.phase = walkTail
-	p.sendTo(p.cfg.Source, wire.TagJoinRequest{})
-}
-
-func (p *Peer) stream(id wire.StreamID) *streamState {
-	st, ok := p.streams[id]
-	if !ok {
-		st = &streamState{sparse: make(map[uint32]struct{}), payloads: make(map[uint32][]byte)}
-		p.streams[id] = st
-	}
-	return st
-}
-
-func (st *streamState) delivered(seq uint32) bool {
-	if !st.started {
-		return false
-	}
-	if seq < st.base || seq < st.contigUpTo {
-		return true
-	}
-	_, ok := st.sparse[seq]
-	return ok
-}
-
-func (st *streamState) mark(seq uint32, payload []byte) {
-	if !st.started {
-		st.started = true
-		st.base = seq
-		st.contigUpTo = seq
-	}
-	st.sparse[seq] = struct{}{}
-	st.payloads[seq] = payload
-	for {
-		if _, ok := st.sparse[st.contigUpTo]; !ok {
-			break
-		}
-		delete(st.sparse, st.contigUpTo)
-		st.contigUpTo++
-	}
+	p.SendTo(p.cfg.Source, wire.TagJoinRequest{})
 }
 
 // Publish injects the next message at the source. Children learn about it
 // via the relayed announcement and fetch it with their next pull.
 func (p *Peer) Publish(id wire.StreamID, payload []byte) uint32 {
-	st := p.stream(id)
-	if st.nextSeq == 0 {
-		st.nextSeq = 1
-	}
-	seq := st.nextSeq
-	st.nextSeq++
-	st.mark(seq, payload)
-	p.metrics.Delivered++
-	p.announce(id, st.contigUpTo, ids.Nil)
+	st := p.Stream(id)
+	seq := p.Originate(st, payload)
+	p.announce(id, st.UpTo, ids.Nil)
 	return seq
 }
 
@@ -263,12 +193,12 @@ func (p *Peer) announce(id wire.StreamID, upTo uint32, except ids.NodeID) {
 	msg := wire.TagAnnounce{Stream: id, UpTo: upTo}
 	for _, c := range p.children.Snapshot() {
 		if c != except {
-			p.env.Send(c, msg)
+			p.Env.Send(c, msg)
 		}
 	}
 	for _, g := range p.gossip {
 		if g != except {
-			p.sendTo(g, msg)
+			p.SendTo(g, msg)
 		}
 	}
 }
@@ -279,64 +209,48 @@ func (p *Peer) pullTick() {
 	if p.stopped {
 		return
 	}
-	defer func() { p.timer = p.env.After(p.cfg.PullPeriod, p.pullTick) }()
+	defer func() { p.timer = p.Env.After(p.cfg.PullPeriod, p.pullTick) }()
 	// Alternate between the tree parent and one random gossip partner
 	// ("pulling content both from the tree and from gossip neighbors").
 	p.pullFlip = !p.pullFlip
 	target := p.parent
 	if p.pullFlip || target == ids.Nil {
 		if len(p.gossip) > 0 {
-			target = p.gossip[p.env.Rand().Intn(len(p.gossip))]
+			target = p.gossip[p.Env.Rand().Intn(len(p.gossip))]
 		}
 	}
 	if target == ids.Nil {
 		return
 	}
-	for id, st := range p.streams {
-		if !st.started && st.remoteUpTo == 0 {
+	for _, st := range p.Streams() {
+		remote := p.announced[st.ID]
+		if !st.Started && remote == 0 {
 			continue
 		}
-		if st.remoteUpTo <= st.contigUpTo && len(st.sparse) == 0 && st.started {
+		if remote <= st.UpTo && !st.Gaps() && st.Started {
 			continue // nothing new announced
 		}
-		p.metrics.PullsSent++
-		p.sendTo(target, wire.TagPull{Stream: id, UpTo: st.contigUpTo, Missing: missingOf(st, 16)})
+		p.SendTo(target, wire.TagPull{Stream: st.ID, UpTo: st.UpTo, Missing: st.Missing(16)})
 	}
-}
-
-func missingOf(st *streamState, limit int) []uint32 {
-	var hi uint32
-	for seq := range st.sparse {
-		if seq > hi {
-			hi = seq
-		}
-	}
-	out := make([]uint32, 0, 8)
-	for seq := st.contigUpTo; seq < hi && len(out) < limit; seq++ {
-		if _, ok := st.sparse[seq]; !ok {
-			out = append(out, seq)
-		}
-	}
-	return out
 }
 
 func (p *Peer) onPull(from ids.NodeID, m wire.TagPull) {
-	st := p.stream(m.Stream)
+	st := p.Stream(m.Stream)
 	var items []wire.StreamItem
 	for _, seq := range m.Missing {
 		if len(items) >= p.cfg.MaxItemsPerPull {
 			break
 		}
-		if payload, ok := st.payloads[seq]; ok {
+		if payload, ok := st.Payload(seq); ok {
 			items = append(items, wire.StreamItem{Seq: seq, Payload: payload})
 		}
 	}
 	start := m.UpTo
-	if !st.started || start < st.base {
-		start = st.base
+	if !st.Started || start < st.Base {
+		start = st.Base
 	}
 	for seq := start; len(items) < p.cfg.MaxItemsPerPull; seq++ {
-		payload, ok := st.payloads[seq]
+		payload, ok := st.Payload(seq)
 		if !ok {
 			break
 		}
@@ -345,34 +259,26 @@ func (p *Peer) onPull(from ids.NodeID, m wire.TagPull) {
 	if len(items) == 0 {
 		return
 	}
-	p.metrics.ItemsServed += uint64(len(items))
-	p.env.Send(from, wire.TagPullReply{Stream: m.Stream, Items: items})
+	p.Env.Send(from, wire.TagPullReply{Stream: m.Stream, Items: items})
 }
 
-func (p *Peer) onPullReply(m wire.TagPullReply) {
-	st := p.stream(m.Stream)
+func (p *Peer) onPullReply(from ids.NodeID, m wire.TagPullReply) {
+	st := p.Stream(m.Stream)
 	changed := false
 	for _, it := range m.Items {
-		if st.delivered(it.Seq) {
-			p.metrics.Duplicates++
-			continue
-		}
-		st.mark(it.Seq, it.Payload)
-		p.metrics.Delivered++
-		changed = true
-		if p.cfg.OnDeliver != nil {
-			p.cfg.OnDeliver(m.Stream, it.Seq, it.Payload)
+		if p.Deliver(st, from, it.Seq, it.Payload) {
+			changed = true
 		}
 	}
 	if changed {
-		p.announce(m.Stream, st.contigUpTo, ids.Nil)
+		p.announce(m.Stream, st.UpTo, ids.Nil)
 	}
 }
 
 func (p *Peer) onAnnounce(from ids.NodeID, m wire.TagAnnounce) {
-	st := p.stream(m.Stream)
-	if m.UpTo > st.remoteUpTo {
-		st.remoteUpTo = m.UpTo
+	p.Stream(m.Stream) // pullTick walks the streams the peer has state for
+	if m.UpTo > p.announced[m.Stream] {
+		p.announced[m.Stream] = m.UpTo
 		p.announce(m.Stream, m.UpTo, from)
 	}
 }
@@ -384,7 +290,7 @@ func (p *Peer) onJoinRequest(from ids.NodeID) {
 		return
 	}
 	// Hand out the current tail and append the joiner to the list.
-	p.env.Send(from, wire.TagJoinAccept{Accept: false, Pred: p.tail})
+	p.Env.Send(from, wire.TagJoinAccept{Accept: false, Pred: p.tail})
 	p.tail = from
 }
 
@@ -392,10 +298,10 @@ func (p *Peer) onWalk(from ids.NodeID, m wire.TagWalk) {
 	accept := p.children.Len() < p.cfg.MaxChildren || p.isSource
 	if accept {
 		p.children.Add(m.Joiner)
-		p.env.Send(from, wire.TagJoinAccept{Accept: true, Pred: p.pred, Pred2: p.pred2})
+		p.Env.Send(from, wire.TagJoinAccept{Accept: true, Pred: p.pred, Pred2: p.pred2})
 		return
 	}
-	p.env.Send(from, wire.TagJoinAccept{Accept: false, Pred: p.pred})
+	p.Env.Send(from, wire.TagJoinAccept{Accept: false, Pred: p.pred})
 }
 
 func (p *Peer) onJoinAccept(from ids.NodeID, m wire.TagJoinAccept) {
@@ -405,13 +311,13 @@ func (p *Peer) onJoinAccept(from ids.NodeID, m wire.TagJoinAccept) {
 		// and the first parent candidate.
 		p.pred = m.Pred
 		p.phase = walkProbing
-		if p.pred == ids.Nil || p.pred == p.env.ID() {
+		if p.pred == ids.Nil || p.pred == p.Env.ID() {
 			// Degenerate: we are the first joiner; attach to the source.
 			p.walkTarget = p.cfg.Source
 		} else {
 			p.walkTarget = p.pred
 		}
-		p.sendTo(p.walkTarget, wire.TagWalk{Joiner: p.env.ID()})
+		p.SendTo(p.walkTarget, wire.TagWalk{Joiner: p.Env.ID()})
 
 	case walkProbing:
 		if from != p.walkTarget {
@@ -426,11 +332,11 @@ func (p *Peer) onJoinAccept(from ids.NodeID, m wire.TagJoinAccept) {
 			return
 		}
 		next := m.Pred
-		if next == ids.Nil || next == p.env.ID() {
+		if next == ids.Nil || next == p.Env.ID() {
 			next = p.cfg.Source // walk exhausted: the source always accepts
 		}
 		p.walkTarget = next
-		p.sendTo(next, wire.TagWalk{Joiner: p.env.ID()})
+		p.SendTo(next, wire.TagWalk{Joiner: p.Env.ID()})
 	}
 }
 
@@ -440,18 +346,17 @@ func (p *Peer) finishJoin(parent ids.NodeID) {
 	p.walkTarget = ids.Nil
 	if !p.settled {
 		p.settled = true
-		p.settleDur = p.env.Now().Sub(p.joinStarted)
+		p.settleDur = p.Env.Now().Sub(p.joinStarted)
 	}
 	if !p.parentLostAt.IsZero() {
-		d := p.env.Now().Sub(p.parentLostAt)
 		if p.repairHard {
-			p.metrics.HardRejoins++
+			p.M.HardRepairs++
 		} else {
-			p.metrics.SoftRepairs++
+			p.M.SoftRepairs++
 		}
-		if p.cfg.OnRepair != nil {
-			p.cfg.OnRepair(p.repairHard, d)
-		}
+		// A completed parent recovery; Hard marks the list-broken case where
+		// the node re-inserted through the source.
+		p.Emit(core.Event{Type: core.EvRepaired, Peer: parent, Hard: p.repairHard, Dur: p.Env.Now().Sub(p.parentLostAt)})
 		p.parentLostAt = time.Time{}
 		p.repairHard = false
 	}
@@ -462,7 +367,7 @@ func (p *Peer) finishJoin(parent ids.NodeID) {
 	// Release connections to traversal nodes we keep no role with.
 	for _, seen := range p.walkSeen {
 		if !p.keepsConn(seen) {
-			p.env.Close(seen)
+			p.Env.Close(seen)
 		}
 	}
 	p.walkSeen = nil
@@ -471,7 +376,7 @@ func (p *Peer) finishJoin(parent ids.NodeID) {
 func (p *Peer) adoptGossipPeers() {
 	candidates := make([]ids.NodeID, 0, len(p.walkSeen)+2)
 	add := func(id ids.NodeID) {
-		if id != ids.Nil && id != p.env.ID() && !ids.Contains(candidates, id) {
+		if id != ids.Nil && id != p.Env.ID() && !ids.Contains(candidates, id) {
 			candidates = append(candidates, id)
 		}
 	}
@@ -480,7 +385,7 @@ func (p *Peer) adoptGossipPeers() {
 	}
 	add(p.pred)
 	add(p.pred2)
-	p.env.Rand().Shuffle(len(candidates), func(i, j int) {
+	p.Env.Rand().Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
 	if len(candidates) > p.cfg.GossipPeers {
@@ -499,16 +404,16 @@ func (p *Peer) keepsConn(id ids.NodeID) bool {
 func (p *Peer) broadcastLinks() {
 	msg := wire.TagLinkUpdate{Pred: p.pred, Pred2: p.pred2, Succ: p.succ, Succ2: p.succ2}
 	if p.pred != ids.Nil {
-		p.sendTo(p.pred, msg)
+		p.SendTo(p.pred, msg)
 	}
 	if p.succ != ids.Nil {
-		p.sendTo(p.succ, msg)
+		p.SendTo(p.succ, msg)
 	}
 }
 
 func (p *Peer) onLinkUpdate(from ids.NodeID, m wire.TagLinkUpdate) {
 	changed := false
-	if m.Pred == p.env.ID() {
+	if m.Pred == p.Env.ID() {
 		// The sender is our successor.
 		if p.succ != from {
 			p.succ, changed = from, true
@@ -517,7 +422,7 @@ func (p *Peer) onLinkUpdate(from ids.NodeID, m wire.TagLinkUpdate) {
 			p.succ2 = m.Succ
 		}
 	}
-	if m.Succ == p.env.ID() {
+	if m.Succ == p.Env.ID() {
 		// The sender is our predecessor.
 		if p.pred != from {
 			p.pred, changed = from, true
@@ -526,10 +431,10 @@ func (p *Peer) onLinkUpdate(from ids.NodeID, m wire.TagLinkUpdate) {
 			p.pred2 = m.Pred
 		}
 	}
-	if from == p.succ && m.Pred == p.env.ID() {
+	if from == p.succ && m.Pred == p.Env.ID() {
 		p.succ2 = m.Succ
 	}
-	if from == p.pred && m.Succ == p.env.ID() {
+	if from == p.pred && m.Succ == p.Env.ID() {
 		p.pred2 = m.Pred
 	}
 	if changed {
@@ -543,14 +448,7 @@ func (p *Peer) onLinkUpdate(from ids.NodeID, m wire.TagLinkUpdate) {
 // 2-hop knowledge and re-inserts through the source when the list is broken
 // by two consecutive failures.
 func (p *Peer) ConnDown(peer ids.NodeID, err error) {
-	// Drop any queued messages for the dead peer.
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to != peer {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
+	p.Base.ConnDown(peer, err)
 
 	p.children.Remove(peer)
 	p.gossip = ids.Remove(p.gossip, peer)
@@ -570,8 +468,10 @@ func (p *Peer) ConnDown(peer ids.NodeID, err error) {
 
 	if peer == p.parent {
 		p.parent = ids.Nil
+		p.M.ParentsLost++
+		p.M.Orphans++
 		if p.parentLostAt.IsZero() {
-			p.parentLostAt = p.env.Now()
+			p.parentLostAt = p.Env.Now()
 		}
 		p.recoverParent()
 		return
@@ -589,7 +489,7 @@ func (p *Peer) recoverParent() {
 		p.repairHard = false
 		p.phase = walkProbing
 		p.walkTarget = p.pred
-		p.sendTo(p.pred, wire.TagWalk{Joiner: p.env.ID()})
+		p.SendTo(p.pred, wire.TagWalk{Joiner: p.Env.ID()})
 		return
 	}
 	p.hardRejoin()
@@ -600,7 +500,7 @@ func (p *Peer) hardRejoin() {
 	p.repairHard = true
 	p.phase = walkTail
 	p.walkTarget = ids.Nil
-	p.sendTo(p.cfg.Source, wire.TagJoinRequest{})
+	p.SendTo(p.cfg.Source, wire.TagJoinRequest{})
 }
 
 // ---------------------------------------------------------------- plumbing
@@ -619,33 +519,8 @@ func (p *Peer) Receive(from ids.NodeID, m wire.Message) {
 	case wire.TagPull:
 		p.onPull(from, msg)
 	case wire.TagPullReply:
-		p.onPullReply(msg)
+		p.onPullReply(from, msg)
 	case wire.TagAnnounce:
 		p.onAnnounce(from, msg)
 	}
-}
-
-func (p *Peer) sendTo(to ids.NodeID, m wire.Message) {
-	if to == p.env.ID() || to == ids.Nil {
-		return
-	}
-	if p.env.Connected(to) {
-		p.env.Send(to, m)
-		return
-	}
-	p.outbox = append(p.outbox, queued{to: to, m: m})
-	p.env.Connect(to)
-}
-
-// ConnUp implements node.Proto.
-func (p *Peer) ConnUp(peer ids.NodeID) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to == peer {
-			p.env.Send(peer, q.m)
-		} else {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
 }

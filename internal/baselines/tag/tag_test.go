@@ -1,9 +1,11 @@
 package tag
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/simnet"
 )
@@ -30,7 +32,7 @@ func build(n int, seed int64, cfg Config) *fixture {
 	// Joins are strictly sequential: TAG's list is sorted by join time.
 	for i := 1; i < n; i++ {
 		i := i
-		f.net.At(time.Duration(i)*100*time.Millisecond, func() { f.peers[i].Join() })
+		f.net.At(time.Duration(i)*100*time.Millisecond, func() { f.peers[i].Join(ids.Nil) })
 	}
 	f.net.RunUntil(time.Duration(n)*100*time.Millisecond + 10*time.Second)
 	return f
@@ -124,17 +126,19 @@ func TestPullRateBoundsDrainRate(t *testing.T) {
 }
 
 func TestParentRecoverySoft(t *testing.T) {
-	repairs := 0
-	hard := 0
-	cfg := Config{
-		OnRepair: func(h bool, d time.Duration) {
-			repairs++
-			if h {
-				hard++
+	var repairs, hard atomic.Int64 // listeners run on scheduler shard goroutines
+	f := build(48, 6, Config{})
+	for _, p := range f.peers {
+		p.SubscribeEvents(func(ev core.Event) {
+			if ev.Type != core.EvRepaired {
+				return
 			}
-		},
+			repairs.Add(1)
+			if ev.Hard {
+				hard.Add(1)
+			}
+		})
 	}
-	f := build(48, 6, cfg)
 	// Keep the stream flowing so structure stays exercised.
 	for i := 0; i < 100; i++ {
 		i := i
@@ -157,10 +161,10 @@ func TestParentRecoverySoft(t *testing.T) {
 		})
 	}
 	f.net.RunFor(60 * time.Second)
-	if repairs == 0 {
+	if repairs.Load() == 0 {
 		t.Error("expected parent recoveries under churn")
 	}
-	t.Logf("repairs=%d (hard=%d)", repairs, hard)
+	t.Logf("repairs=%d (hard=%d)", repairs.Load(), hard.Load())
 	// Everyone alive must still have a parent.
 	for i, p := range f.peers {
 		if i == 0 || !f.net.Alive(ids.NodeID(i+1)) {

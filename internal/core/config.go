@@ -29,6 +29,15 @@ const (
 	// ModeDAG keeps Parents inbound links active; cycles are prevented
 	// approximately by depth labels (§II-G).
 	ModeDAG
+	// ModeSimpleTree, ModeSimpleGossip and ModeTAG name the three systems
+	// the paper compares BRISA with (§III-D): a coordinator-built push tree,
+	// Cyclon rumor mongering with anti-entropy, and TAG's pull-based list
+	// tree. They are values of Mode so that the system under test is one
+	// choice; this package runs none of them — the assembler (package brisa)
+	// builds the stack from internal/baselines instead of a Protocol.
+	ModeSimpleTree
+	ModeSimpleGossip
+	ModeTAG
 )
 
 // String names the mode.
@@ -40,6 +49,12 @@ func (m Mode) String() string {
 		return "tree"
 	case ModeDAG:
 		return "dag"
+	case ModeSimpleTree:
+		return "simpletree"
+	case ModeSimpleGossip:
+		return "simplegossip"
+	case ModeTAG:
+		return "tag"
 	}
 	return "mode(?)"
 }
@@ -59,31 +74,6 @@ type Config struct {
 	// inactive (the sender received the message first, so we can never be
 	// its parent). Sound for the first-come strategy.
 	SymmetricDeactivation bool
-	// BufferSize is how many recent messages are retained per stream to
-	// answer MsgRequest retransmissions during parent recovery (§II-F).
-	BufferSize int
-	// RecoveryMinInterval rate-limits gap-recovery requests per stream.
-	RecoveryMinInterval time.Duration
-	// StallTimeout triggers a stall repair: if no parent has delivered
-	// anything for this long while keep-alive piggybacks show neighbors
-	// advancing, the node's feed is broken (typically a structure cycle
-	// formed by racing parent switches — it carries no data, so the exact
-	// path check can never observe it) and the parents are dropped and
-	// replaced. Safety net beyond the paper; see DESIGN.md.
-	StallTimeout time.Duration
-	// SwitchMargin is the hysteresis for strategy-driven parent switches:
-	// a duplicate's sender replaces an incumbent parent only if its score
-	// improves on the incumbent's by this relative margin. Dampens the
-	// mutual-adoption races that symmetric metrics (RTT) provoke.
-	SwitchMargin float64
-	// ReadoptCooldown is how long a peer dropped by cycle detection or
-	// stall repair stays barred from proactive re-adoption.
-	ReadoptCooldown time.Duration
-	// GracePeriod is the make-before-break window for strategy-driven
-	// parent switches: the displaced parent's inbound link stays active
-	// this long so a bad switch (e.g., into the node's own subtree) can
-	// be detected by the path check and reverted without data loss.
-	GracePeriod time.Duration
 	// MaxBlobs bounds the per-stream blob buffer: how many blobs (complete
 	// or in flight) a node retains reassembly/serving state for. Inserting
 	// beyond the bound evicts the lowest blob id — the oldest, since
@@ -107,6 +97,36 @@ type Config struct {
 	OnEvent func(ev Event)
 }
 
+// Protocol constants. No deployment, benchmark or experiment ever ran with
+// other values, so they are not configuration.
+const (
+	// bufferSize is how many recent messages are retained per stream to
+	// answer MsgRequest retransmissions during parent recovery (§II-F).
+	bufferSize = 64
+	// recoveryMinInterval rate-limits gap-recovery requests per stream.
+	recoveryMinInterval = 50 * time.Millisecond
+	// stallTimeout triggers a stall repair: if no parent has delivered
+	// anything for this long while keep-alive piggybacks show neighbors
+	// advancing, the node's feed is broken (typically a structure cycle
+	// formed by racing parent switches — it carries no data, so the exact
+	// path check can never observe it) and the parents are dropped and
+	// replaced. Safety net beyond the paper; see DESIGN.md.
+	stallTimeout = 3 * time.Second
+	// switchMargin is the hysteresis for strategy-driven parent switches:
+	// a duplicate's sender replaces an incumbent parent only if its score
+	// improves on the incumbent's by this relative margin. Dampens the
+	// mutual-adoption races that symmetric metrics (RTT) provoke.
+	switchMargin = 0.15
+	// readoptCooldown is how long a peer dropped by cycle detection or
+	// stall repair stays barred from proactive re-adoption.
+	readoptCooldown = 5 * time.Second
+	// gracePeriod is the make-before-break window for strategy-driven
+	// parent switches: the displaced parent's inbound link stays active
+	// this long so a bad switch (e.g., into the node's own subtree) can
+	// be detected by the path check and reverted without data loss.
+	gracePeriod = 1500 * time.Millisecond
+)
+
 // PSS is the view core needs from the peer sampling service.
 type PSS interface {
 	// Active returns the current active view (connected neighbors).
@@ -128,24 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Strategy == nil {
 		c.Strategy = FirstCome{}
-	}
-	if c.BufferSize <= 0 {
-		c.BufferSize = 64
-	}
-	if c.RecoveryMinInterval <= 0 {
-		c.RecoveryMinInterval = 50 * time.Millisecond
-	}
-	if c.StallTimeout <= 0 {
-		c.StallTimeout = 3 * time.Second
-	}
-	if c.SwitchMargin <= 0 {
-		c.SwitchMargin = 0.15
-	}
-	if c.ReadoptCooldown <= 0 {
-		c.ReadoptCooldown = 5 * time.Second
-	}
-	if c.GracePeriod <= 0 {
-		c.GracePeriod = 1500 * time.Millisecond
 	}
 	if c.MaxBlobs <= 0 {
 		c.MaxBlobs = 8

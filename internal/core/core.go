@@ -369,7 +369,7 @@ func (p *Protocol) Publish(id wire.StreamID, payload []byte) uint32 {
 	seq := st.nextSeq
 	st.nextSeq++
 	st.markDelivered(seq)
-	st.remember(seq, payload, p.cfg.BufferSize)
+	st.remember(seq, payload, bufferSize)
 	p.metrics.Delivered++
 	p.emit(Event{Type: EvDeliver, Stream: id, Seq: seq})
 	p.fanout(id, seq, payload)
@@ -463,7 +463,7 @@ func (p *Protocol) onData(from ids.NodeID, m wire.Data) {
 
 	// New message: deliver.
 	st.markDelivered(m.Seq)
-	st.remember(m.Seq, m.Payload, p.cfg.BufferSize)
+	st.remember(m.Seq, m.Payload, bufferSize)
 	p.metrics.Delivered++
 	st.lastDeliveredAt = now
 	if st.isParent(from) {
@@ -603,11 +603,11 @@ func (p *Protocol) onCycle(st *stream, from ids.NodeID) {
 func (p *Protocol) expel(st *stream, peer ids.NodeID) {
 	p.dropParent(st, peer)
 	p.sendDeactivate(st, peer, false)
-	st.info(peer).cooldownUntil = p.env.Now().Add(p.cfg.ReadoptCooldown)
+	st.info(peer).cooldownUntil = p.env.Now().Add(readoptCooldown)
 }
 
 // beginGraceSwitch replaces parent old with new, make-before-break: old's
-// inbound link stays active for GracePeriod so that, if new turns out to
+// inbound link stays active for gracePeriod so that, if new turns out to
 // sit in our own subtree (a cycle closed by two racing switches), data
 // keeps flowing, the exact path check sees the loop, and we revert. Only
 // after a clean grace period is old's link deactivated.
@@ -617,10 +617,10 @@ func (p *Protocol) beginGraceSwitch(st *stream, old, new ids.NodeID) {
 	p.adoptParent(st, new)
 	now := p.env.Now()
 	st.graceParent = old
-	st.graceUntil = now.Add(p.cfg.GracePeriod)
+	st.graceUntil = now.Add(gracePeriod)
 	st.lastSwitch = now
 	id := st.id
-	p.env.After(p.cfg.GracePeriod, func() {
+	p.env.After(gracePeriod, func() {
 		s, ok := p.streams[id]
 		if !ok || s.graceParent == ids.Nil || p.env.Now().Before(s.graceUntil) {
 			return
@@ -673,7 +673,7 @@ func (p *Protocol) switchWins(st *stream, cand, inc ids.NodeID) bool {
 	}
 	sc := p.cfg.Strategy.Score(p.offer(st, cand))
 	si := p.cfg.Strategy.Score(p.incumbent(st, inc))
-	margin := p.cfg.SwitchMargin * math.Abs(si)
+	margin := switchMargin * math.Abs(si)
 	return sc < si-margin
 }
 
@@ -1108,7 +1108,7 @@ func (p *Protocol) maybeRecoverGaps(st *stream, from ids.NodeID, seq uint32) {
 		return
 	}
 	now := p.env.Now()
-	if now.Sub(st.lastRecovery) < p.cfg.RecoveryMinInterval {
+	if now.Sub(st.lastRecovery) < recoveryMinInterval {
 		return
 	}
 	st.lastRecovery = now
@@ -1131,14 +1131,14 @@ func (p *Protocol) requestRecent(st *stream, parent ids.NodeID) {
 	p.env.Send(parent, wire.MsgRequest{
 		Stream: st.id,
 		From:   st.contigUpTo,
-		To:     st.contigUpTo + uint32(p.cfg.BufferSize),
+		To:     st.contigUpTo + uint32(bufferSize),
 	})
 }
 
 // checkProgress reacts to a neighbor's piggybacked delivery progress.
 // Falling behind a neighbor means our feed missed messages: request the gap
 // from the peer that provably had them (catch-up). If on top of that no
-// parent has delivered anything for StallTimeout, the feed itself is broken
+// parent has delivered anything for stallTimeout, the feed itself is broken
 // — most likely a structure cycle closed by racing parent switches, which
 // carries no data and is therefore invisible to the exact path check — so
 // the parents are dropped and the node re-homes (stall repair).
@@ -1150,15 +1150,15 @@ func (p *Protocol) checkProgress(st *stream, peer ids.NodeID, peerUpTo uint32) {
 	// Only act when the node has been idle for a while: during normal flow
 	// a receiver always trails its upstream by one propagation delay, and
 	// requesting that in-flight window would just manufacture duplicates.
-	catchupIdle := p.cfg.StallTimeout / 3
+	catchupIdle := stallTimeout / 3
 	if now.Sub(st.lastDeliveredAt) < catchupIdle {
 		return
 	}
 	// Catch-up: pull the missing window from the neighbor reporting it.
-	if now.Sub(st.lastRecovery) >= p.cfg.RecoveryMinInterval {
+	if now.Sub(st.lastRecovery) >= recoveryMinInterval {
 		st.lastRecovery = now
 		hi := peerUpTo
-		if max := st.contigUpTo + uint32(p.cfg.BufferSize); hi > max {
+		if max := st.contigUpTo + uint32(bufferSize); hi > max {
 			hi = max
 		}
 		p.metrics.RecoveryRequests++
@@ -1166,7 +1166,7 @@ func (p *Protocol) checkProgress(st *stream, peer ids.NodeID, peerUpTo uint32) {
 	}
 	// Stall repair: the structure stopped feeding us while the stream
 	// demonstrably advances.
-	if st.nParents == 0 || now.Sub(st.lastParentDelivery) < p.cfg.StallTimeout {
+	if st.nParents == 0 || now.Sub(st.lastParentDelivery) < stallTimeout {
 		return
 	}
 	p.metrics.StallRepairs++

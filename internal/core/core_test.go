@@ -183,7 +183,7 @@ func TestMsgRequestAroundWindowEdge(t *testing.T) {
 		}
 	}
 	net.queue = nil // the relays to child 3
-	window := uint32(p.cfg.BufferSize)
+	window := uint32(bufferSize)
 	p.Receive(3, wire.MsgRequest{Stream: 1, From: 41, To: 298}) // 257 seqs: refused
 	if len(net.queue) != 0 {
 		t.Fatalf("a 257-seq request was answered with %d messages", len(net.queue))
@@ -321,13 +321,14 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Parents != 0 {
 		t.Errorf("flood mode has no parents, got %d", c.Parents)
 	}
-	if c.Strategy == nil || c.BufferSize <= 0 || c.StallTimeout <= 0 {
+	if c.Strategy == nil || c.MaxBlobs <= 0 || c.BlobWantRetry <= 0 {
 		t.Error("defaults not filled")
 	}
 }
 
 func TestModeString(t *testing.T) {
-	if ModeFlood.String() != "flood" || ModeTree.String() != "tree" || ModeDAG.String() != "dag" {
+	if ModeFlood.String() != "flood" || ModeTree.String() != "tree" || ModeDAG.String() != "dag" ||
+		ModeSimpleTree.String() != "simpletree" || ModeSimpleGossip.String() != "simplegossip" || ModeTAG.String() != "tag" {
 		t.Error("mode names")
 	}
 }

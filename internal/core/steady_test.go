@@ -51,7 +51,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			msg.Seq++
 			p.Receive(2, msg)
 		}
-		for i := 0; i < 2*p.cfg.BufferSize; i++ {
+		for i := 0; i < 2*bufferSize; i++ {
 			receive() // fill the retransmission ring
 		}
 		if got := testing.AllocsPerRun(200, receive); got != tc.want {

@@ -28,6 +28,10 @@ var DeterministicPackages = []string{
 	"internal/hyparview",
 	"internal/cyclon",
 	"internal/stats",
+	"internal/baselines/kit",
+	"internal/baselines/simpletree",
+	"internal/baselines/simplegossip",
+	"internal/baselines/tag",
 }
 
 // IsDeterministic reports whether the package at path is bound by the

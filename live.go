@@ -24,6 +24,9 @@ type Node struct {
 // configuration, and starts the runtime. The returned node is live: it
 // accepts connections and disseminates until Close.
 func Listen(addr string, cfg Config) (*Node, error) {
+	if baseline(cfg.Mode) {
+		return nil, fmt.Errorf("brisa: Mode %v runs on the simulator only", cfg.Mode)
+	}
 	ln, err := livenet.Listen(livenet.Config{Listen: addr})
 	if err != nil {
 		return nil, err

@@ -55,6 +55,11 @@ func Run(ctx context.Context, rt Runtime, sc Scenario) (*Report, error) {
 			return nil, fmt.Errorf("brisa: Scenario %q has fault injection, but runtime %q does not support it (faults are simulated; real wires bring their own)", sc.Name, rt.Name())
 		}
 	}
+	if mode := sc.Topology.configFor(0).Mode; baseline(mode) {
+		if _, sim := rt.(SimRuntime); !sim {
+			return nil, fmt.Errorf("brisa: Scenario %q runs Mode %v, but runtime %q cannot: the baselines are rooted at the simulator's first node identifier", sc.Name, mode, rt.Name())
+		}
+	}
 	rep, err := rt.Run(ctx, sc.withDefaults())
 	if err != nil {
 		return nil, err

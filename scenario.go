@@ -354,6 +354,16 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("brisa: Scenario %q: blob workload %d: %w", sc.Name, i, err)
 		}
 	}
+	if mode := sc.Topology.configFor(0).Mode; baseline(mode) {
+		if len(sc.BlobWorkloads) > 0 {
+			return fmt.Errorf("brisa: Scenario %q: Mode %v disseminates no blobs, got %d blob workloads", sc.Name, mode, len(sc.BlobWorkloads))
+		}
+		for i, w := range sc.Workloads {
+			if rooted(mode) && w.Source != 0 {
+				return fmt.Errorf("brisa: Scenario %q: workload %d sources from node index %d, Mode %v publishes at its root, node index 0", sc.Name, i, w.Source, mode)
+			}
+		}
+	}
 	if sc.Drain < 0 {
 		return fmt.Errorf("brisa: Scenario %q has negative Drain", sc.Name)
 	}

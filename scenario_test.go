@@ -7,10 +7,12 @@ package brisa_test
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
 	brisa "repro"
+	"repro/internal/hyparview"
 )
 
 // twoByTwo is the acceptance scenario: two concurrent streams from two
@@ -191,6 +193,36 @@ func TestScenarioValidateErrors(t *testing.T) {
 		{"fault unknown drop policy", func(sc *brisa.Scenario) {
 			sc.Faults = &brisa.FaultModel{Buffer: &brisa.BufferModel{Capacity: 8, Policy: brisa.DropPolicy(9)}}
 		}},
+		{"unknown mode", func(sc *brisa.Scenario) { sc.Topology.Peer.Mode = brisa.ModeTAG + 1 }},
+		{"baseline with blob workloads", func(sc *brisa.Scenario) {
+			sc.Topology.Peer.Mode = brisa.ModeSimpleGossip
+			sc.BlobWorkloads = []brisa.BlobWorkload{{Stream: 2, Size: 1 << 10}}
+		}},
+		{"baseline with Parents", func(sc *brisa.Scenario) {
+			sc.Topology.Peer = brisa.Config{Mode: brisa.ModeSimpleTree, Parents: 1}
+		}},
+		{"baseline with Strategy", func(sc *brisa.Scenario) {
+			sc.Topology.Peer = brisa.Config{Mode: brisa.ModeTAG, Strategy: brisa.FirstCome{}}
+		}},
+		{"baseline with a HyParView override", func(sc *brisa.Scenario) {
+			hv := hyparview.DefaultConfig()
+			sc.Topology.Peer = brisa.Config{Mode: brisa.ModeSimpleGossip, HyParView: &hv}
+		}},
+		{"baseline with OnDeliver", func(sc *brisa.Scenario) {
+			sc.Topology.Peer = brisa.Config{Mode: brisa.ModeTAG, OnDeliver: func(brisa.StreamID, uint32, []byte) {}}
+		}},
+		{"SimpleTree sourced off its root", func(sc *brisa.Scenario) {
+			sc.Topology.Peer.Mode = brisa.ModeSimpleTree
+			sc.Workloads[0].Source = 3
+		}},
+		{"TAG sourced off its root", func(sc *brisa.Scenario) {
+			sc.Topology.Peer.Mode = brisa.ModeTAG
+			sc.Workloads[0].Source = 3
+		}},
+		{"TAG sourced off its root, per-peer configs", func(sc *brisa.Scenario) {
+			sc.Topology.PeerConfig = func(int) brisa.Config { return brisa.Config{Mode: brisa.ModeTAG} }
+			sc.Workloads[0].Source = 3
+		}},
 	}
 	for _, tc := range cases {
 		sc := ok
@@ -199,6 +231,34 @@ func TestScenarioValidateErrors(t *testing.T) {
 		if err := sc.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted the scenario", tc.name)
 		}
+	}
+
+	// What a baseline can run validates: every mode at its root, and
+	// SimpleGossip — which has none — from any node.
+	for _, mode := range []brisa.Mode{brisa.ModeSimpleTree, brisa.ModeSimpleGossip, brisa.ModeTAG} {
+		sc := ok
+		sc.Topology.Peer = brisa.Config{Mode: mode, ViewSize: 4}
+		if err := sc.Validate(); err != nil {
+			t.Errorf("%v: %v", mode, err)
+		}
+	}
+	sc := ok
+	sc.Topology.Peer.Mode = brisa.ModeSimpleGossip
+	sc.Workloads = []brisa.Workload{{Stream: 1, Source: 3, Messages: 1}}
+	if err := sc.Validate(); err != nil {
+		t.Errorf("SimpleGossip sourced from node 3: %v", err)
+	}
+
+	// The baselines are rooted at a simulator node identifier, so nothing
+	// that binds real addresses runs them.
+	sc.Workloads[0].Source = 0
+	for _, rt := range []brisa.Runtime{brisa.LiveRuntime{}, brisa.DistRuntime{}} {
+		if _, err := brisa.Run(context.Background(), rt, sc); err == nil || !strings.Contains(err.Error(), "simplegossip") {
+			t.Errorf("%s runtime: Run = %v, want a refusal naming the mode", rt.Name(), err)
+		}
+	}
+	if _, err := brisa.Listen("127.0.0.1:0", brisa.Config{Mode: brisa.ModeTAG}); err == nil {
+		t.Error("Listen assembled a TAG peer around a live address")
 	}
 }
 

@@ -91,7 +91,7 @@ func (p *Peer) SubscribeOpts(stream StreamID, opts SubOptions) *Subscription {
 	if s.limit > 0 && s.policy == Block {
 		s.space = sync.NewCond(&s.mu)
 	}
-	cancelCore := p.brisa.SubscribeFn(stream, func(seq uint32, payload []byte) {
+	cancelCore := p.sys.SubscribeFn(stream, func(seq uint32, payload []byte) {
 		s.push(Message{Stream: stream, Seq: seq, Payload: payload})
 	})
 	p.subs.add(s)
@@ -273,9 +273,12 @@ func (p *Peer) SubscribeBlobs(stream StreamID) *BlobSubscription {
 		wake:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
-	cancelCore := p.brisa.SubscribeBlobFn(stream, func(d core.BlobDelivery) {
-		s.push(Blob{Stream: stream, ID: d.ID, Data: d.Data})
-	})
+	cancelCore := func() {}
+	if p.brisa != nil { // a baseline peer completes no blobs
+		cancelCore = p.brisa.SubscribeBlobFn(stream, func(d core.BlobDelivery) {
+			s.push(Blob{Stream: stream, ID: d.ID, Data: d.Data})
+		})
+	}
 	p.subs.add(s)
 	s.unsub = func() {
 		cancelCore()
