@@ -45,10 +45,13 @@ var ErrStopped = errors.New("livenet: node stopped")
 // Traffic counts framed protocol messages and wire bytes (frame header
 // included, the 6-byte connection hello excluded) over one node or one
 // connection — the live runtime's traffic tap, the wire-level analog of the
-// simulator's byte counters.
+// simulator's byte counters. Flushes counts the writes that reached the socket
+// (one per actor turn and connection sent on, one more whenever the write
+// buffer fills), so MsgsOut / Flushes is the messages per write.
 type Traffic struct {
 	MsgsIn, MsgsOut   uint64
 	BytesIn, BytesOut uint64
+	Flushes           uint64
 }
 
 // Add returns the element-wise sum.
@@ -58,6 +61,7 @@ func (t Traffic) Add(o Traffic) Traffic {
 		MsgsOut:  t.MsgsOut + o.MsgsOut,
 		BytesIn:  t.BytesIn + o.BytesIn,
 		BytesOut: t.BytesOut + o.BytesOut,
+		Flushes:  t.Flushes + o.Flushes,
 	}
 }
 
@@ -69,6 +73,7 @@ func (t Traffic) Sub(o Traffic) Traffic {
 		MsgsOut:  t.MsgsOut - o.MsgsOut,
 		BytesIn:  t.BytesIn - o.BytesIn,
 		BytesOut: t.BytesOut - o.BytesOut,
+		Flushes:  t.Flushes - o.Flushes,
 	}
 }
 
@@ -106,6 +111,11 @@ type Node struct {
 	running bool
 	stopped bool
 
+	// written lists the connections holding frames Send buffered during the
+	// current actor turn; the actor flushes them when the turn ends. Owned by
+	// the actor goroutine, like every Env call.
+	written []*liveConn
+
 	done chan struct{}
 	wg   sync.WaitGroup
 }
@@ -115,21 +125,30 @@ type liveConn struct {
 	c    net.Conn
 	wmu  sync.Mutex
 	w    *bufio.Writer
+	// unflushed: w holds frames and the connection is in Node.written.
+	// Guarded by wmu.
+	unflushed bool
 
-	// Reader → actor hand-off without a closure per message: the reader
-	// queues the decoded message here, then posts deliver — allocated once
-	// per connection — to the mailbox, and each deliver takes exactly one
-	// message. The mailbox thus still orders and bounds everything.
-	inbox   chan wire.Message
-	deliver func()
+	// Reader → actor hand-off without a closure per message and with one
+	// mailbox post per burst: the reader queues the decoded message here and
+	// posts deliver — allocated once per connection — unless one is already
+	// posted (scheduled). deliver clears scheduled first and then hands the
+	// handler every message queued by then, so a message queued behind a
+	// posted deliver is either taken by it or posts the next one. inbox
+	// bounds how far the reader runs ahead, the mailbox orders the bursts.
+	inbox     chan wire.Message
+	scheduled atomic.Bool
+	deliver   func()
 	// Owned by the reader goroutine: frames that fit r's buffer are decoded
-	// there, larger ones in scratch (at most maxFrame, kept for reuse).
+	// there, larger ones in scratch (at most maxFrame, kept for reuse), and
+	// paths interns the embedded path the peer's messages repeat.
 	r       *bufio.Reader
 	scratch []byte
+	paths   wire.PathCache
 
 	// Per-connection tap: bumped on the reader goroutine and under wmu on
 	// the writer side, read from any goroutine.
-	msgsIn, msgsOut, bytesIn, bytesOut atomic.Uint64
+	msgsIn, msgsOut, bytesIn, bytesOut, flushes atomic.Uint64
 }
 
 // traffic snapshots this connection's counters.
@@ -139,6 +158,7 @@ func (lc *liveConn) traffic() Traffic {
 		MsgsOut:  lc.msgsOut.Load(),
 		BytesIn:  lc.bytesIn.Load(),
 		BytesOut: lc.bytesOut.Load(),
+		Flushes:  lc.flushes.Load(),
 	}
 }
 
@@ -247,6 +267,7 @@ func (n *Node) Stop() {
 		stopDone := make(chan struct{})
 		n.enqueue(func() {
 			n.handler.Stop()
+			n.flushWritten() // before the connections close under it
 			close(stopDone)
 		})
 		select {
@@ -275,29 +296,51 @@ func (n *Node) Stopped() bool {
 // shutdown racing an in-flight call either abandons fn before it starts or
 // waits for it to finish, so the caller can safely read state fn wrote.
 func (n *Node) Call(fn func()) {
-	doneCh := make(chan struct{})
-	var mu sync.Mutex
-	abandoned := false
-	n.enqueue(func() {
-		mu.Lock()
-		if abandoned {
-			mu.Unlock()
-			return
-		}
-		fn()
-		mu.Unlock()
-		close(doneCh)
-	})
+	c := callPool.Get().(*call)
+	c.fn = fn
+	n.enqueue(c.run)
 	select {
-	case <-doneCh:
+	case <-c.done:
+		c.fn = nil
+		callPool.Put(c)
 	case <-n.done:
 		// Claim the call: if the actor already entered fn, this blocks
 		// until it finished (establishing the happens-before the caller
-		// needs); otherwise fn will never run.
-		mu.Lock()
-		abandoned = true
-		mu.Unlock()
+		// needs); otherwise fn will never run. The mailbox may still hold
+		// c.run, so an abandoned call is never recycled.
+		c.mu.Lock()
+		c.abandoned = true
+		c.mu.Unlock()
 	}
+}
+
+// call is the state of one Node.Call, recycled once the actor is through
+// with it so a caller at full rate (Publish) allocates nothing per call.
+type call struct {
+	mu        sync.Mutex
+	fn        func()
+	abandoned bool
+	done      chan struct{} // buffered: the actor never waits for the caller
+	run       func()        // c.exec, bound once
+}
+
+var callPool = sync.Pool{New: func() any {
+	c := &call{done: make(chan struct{}, 1)}
+	c.run = c.exec
+	return c
+}}
+
+// exec runs on the actor. The send on done is its last access to c: the
+// caller that receives it owns c again.
+func (c *call) exec() {
+	c.mu.Lock()
+	if c.abandoned {
+		c.mu.Unlock()
+		return
+	}
+	c.fn()
+	c.mu.Unlock()
+	c.done <- struct{}{}
 }
 
 // ---------------------------------------------------------------- actor env
@@ -316,6 +359,7 @@ func (n *Node) actorLoop() {
 		select {
 		case fn := <-n.mailbox:
 			fn()
+			n.flushWritten()
 		case <-n.done:
 			return
 		}
@@ -403,11 +447,14 @@ func (n *Node) Close(to ids.NodeID) {
 	}
 	n.mu.Unlock()
 	if ok {
+		c.flush()   // what this turn sent before closing still goes out
 		c.c.Close() // the reader goroutine exits; no local ConnDown
 	}
 }
 
-// Send implements node.Env: frames and writes the message; write errors
+// Send implements node.Env: frames the message into the connection's write
+// buffer, which goes to the socket when the actor turn ends (one write for
+// everything the turn sent to that peer) or when it fills; write errors
 // surface as ConnDown.
 func (n *Node) Send(to ids.NodeID, m wire.Message) {
 	n.mu.Lock()
@@ -434,11 +481,12 @@ func (n *Node) Send(to ids.NodeID, m wire.Message) {
 	c.wmu.Lock()
 	_, err := c.w.Write(buf)
 	if err == nil {
-		err = c.w.Flush()
-	}
-	if err == nil {
 		c.msgsOut.Add(1)
 		c.bytesOut.Add(uint64(len(buf)))
+		if !c.unflushed {
+			c.unflushed = true
+			n.written = append(n.written, c)
+		}
 	}
 	c.wmu.Unlock()
 	*bufp = buf[:0]
@@ -446,6 +494,37 @@ func (n *Node) Send(to ids.NodeID, m wire.Message) {
 	if err != nil {
 		n.dropConn(to, c, err)
 	}
+}
+
+// flush hands the buffered frames to the socket.
+func (lc *liveConn) flush() error {
+	lc.wmu.Lock()
+	defer lc.wmu.Unlock()
+	lc.unflushed = false
+	return lc.w.Flush()
+}
+
+// flushWritten ends an actor turn: every connection the turn sent on is
+// flushed once.
+func (n *Node) flushWritten() {
+	for i, c := range n.written {
+		n.written[i] = nil
+		if err := c.flush(); err != nil {
+			n.dropConn(c.peer, c, err)
+		}
+	}
+	n.written = n.written[:0]
+}
+
+// countedWriter counts the writes that reach the socket.
+type countedWriter struct {
+	w io.Writer
+	n *atomic.Uint64
+}
+
+func (cw countedWriter) Write(p []byte) (int, error) {
+	cw.n.Add(1)
+	return cw.w.Write(p)
 }
 
 // Traffic returns the node's cumulative wire counters: the sum over all
@@ -496,8 +575,14 @@ func (n *Node) acceptLoop() {
 // to the peer already exists, the new one is dropped (first wins; the
 // protocols tolerate a failed dial).
 func (n *Node) registerConn(peer ids.NodeID, conn net.Conn) {
-	lc := &liveConn{peer: peer, c: conn, w: bufio.NewWriter(conn), inbox: make(chan wire.Message, inboxDepth)}
-	lc.deliver = func() { n.handler.Receive(lc.peer, <-lc.inbox) }
+	lc := &liveConn{peer: peer, c: conn, inbox: make(chan wire.Message, inboxDepth)}
+	lc.w = bufio.NewWriter(countedWriter{conn, &lc.flushes})
+	lc.deliver = func() {
+		lc.scheduled.Store(false)
+		for k := len(lc.inbox); k > 0; k-- {
+			n.handler.Receive(lc.peer, <-lc.inbox)
+		}
+	}
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
@@ -510,12 +595,12 @@ func (n *Node) registerConn(peer ids.NodeID, conn net.Conn) {
 		return
 	}
 	n.conns[peer] = lc
+	n.wg.Add(1) // readLoop's, while mu still shows the node running: Stop's Wait comes after
 	n.mu.Unlock()
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
 	n.enqueue(func() { n.handler.ConnUp(peer) })
-	n.wg.Add(1)
 	go n.readLoop(lc)
 }
 
@@ -530,16 +615,19 @@ func (n *Node) readLoop(lc *liveConn) {
 		}
 		select {
 		case lc.inbox <- msg:
-			n.enqueue(lc.deliver)
+			if lc.scheduled.CompareAndSwap(false, true) {
+				n.enqueue(lc.deliver)
+			}
 		case <-n.done:
 			return
 		}
 	}
 }
 
-// readFrame reads and decodes one length-prefixed frame. wire.Unmarshal
-// copies whatever the message keeps, so the frame is decoded where it was
-// read and that storage is reused for the next frame.
+// readFrame reads and decodes one length-prefixed frame. The decoder copies
+// whatever the message keeps, so the frame is decoded where it was read and
+// that storage is reused for the next frame; the one thing successive messages
+// may share is an unchanged Path, handed out again by lc.paths.
 func (lc *liveConn) readFrame() (wire.Message, error) {
 	r := lc.r
 	hdr, err := peekFull(r, 4)
@@ -572,7 +660,7 @@ func (lc *liveConn) readFrame() (wire.Message, error) {
 	}
 	lc.msgsIn.Add(1)
 	lc.bytesIn.Add(4 + uint64(size))
-	msg, err := wire.Unmarshal(frame)
+	msg, err := lc.paths.Unmarshal(frame)
 	if inPlace {
 		r.Discard(4 + size) // only now: Discard gives the viewed bytes back to r
 	}

@@ -161,13 +161,13 @@ func (m MsgRequest) AppendTo(b []byte) []byte {
 func (MsgRequest) WireSize() int { return 1 + szU32 + szU32 + szU32 }
 
 func init() {
-	register(KindData, func(body []byte) (Message, error) {
+	registerPathed(KindData, func(body []byte, paths *PathCache) (Message, error) {
 		d := Decoder{B: body}
 		m := Data{
 			Stream:  StreamID(d.U32()),
 			Seq:     d.U32(),
 			Depth:   d.U16(),
-			Path:    d.NodeIDs(),
+			Path:    d.path(paths),
 			Payload: cloneBytes(d.Bytes()),
 		}
 		return m, d.Finish()

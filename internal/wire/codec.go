@@ -9,6 +9,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -168,6 +169,27 @@ func (d *Decoder) NodeIDs() []ids.NodeID {
 	out := make([]ids.NodeID, n)
 	for i := range out {
 		out[i] = d.NodeID()
+	}
+	return out
+}
+
+// path reads a u16-prefixed identifier list like NodeIDs, through the cache
+// when there is one: wire bytes equal to the cached path's return the slice
+// decoded then, anything else is decoded into a fresh slice that replaces it.
+// The empty path is nil and leaves the cache alone.
+func (d *Decoder) path(c *PathCache) []ids.NodeID {
+	if c == nil {
+		return d.NodeIDs()
+	}
+	// c.raw starts with its own count, so a prefix match is the whole list.
+	if d.Err == nil && len(c.raw) > 0 && bytes.HasPrefix(d.B[d.Off:], c.raw) {
+		d.Off += len(c.raw)
+		return c.path
+	}
+	start := d.Off
+	out := d.NodeIDs()
+	if out != nil {
+		c.raw, c.path = append(c.raw[:0], d.B[start:d.Off]...), out
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package wire
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/ids"
 )
 
 // Kind identifies a message type on the wire. Kinds are grouped in ranges by
@@ -185,26 +187,62 @@ func PutBuffer(bp *[]byte) {
 // Unmarshal decodes a frame produced by Marshal. The result never aliases
 // frame — every decoder copies the bytes and identifiers it keeps — which is
 // what lets a transport decode from storage it reuses for the next frame.
+// It is PathCache.Unmarshal with no cache: every result owns its slices.
 func Unmarshal(frame []byte) (Message, error) {
+	return (*PathCache)(nil).Unmarshal(frame)
+}
+
+// PathCache interns the embedded path (§II-D) of the Data and BlobChunk
+// messages decoded through it. On a settled tree every message a node gets
+// from its parent crossed the same nodes, so a transport keeps one cache per
+// connection and pays for the path once per re-parent instead of once per
+// message.
+//
+// The cache holds ONE path, the last non-empty one it decoded: two paths that
+// alternate frame by frame miss every time. The zero value is an empty cache;
+// a nil *PathCache decodes without one. Not safe for concurrent use.
+type PathCache struct {
+	raw  []byte       // that path as it was on the wire: u16 count + 6 B per hop
+	path []ids.NodeID // what was handed out for raw; shared, so never written again
+}
+
+// Unmarshal is the package-level Unmarshal, except that a path whose wire
+// bytes equal the previous one's comes back as the same slice: successive
+// messages decoded through one cache may share Path, which the receivers'
+// read-only rule (node.Handler.Receive) makes legal. A path that differs is
+// decoded into a fresh slice, and the result still never aliases frame. A
+// frame that fails to decode empties the cache.
+func (c *PathCache) Unmarshal(frame []byte) (Message, error) {
 	if len(frame) == 0 {
 		return nil, ErrTruncated
 	}
 	kind := Kind(frame[0])
-	body := frame[1:]
 	ctor, ok := decoders[kind]
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown kind %d", kind)
 	}
-	return ctor(body)
+	m, err := ctor(frame[1:], c)
+	if err != nil && c != nil {
+		c.raw, c.path = c.raw[:0], nil
+	}
+	return m, err
 }
 
-type decodeFunc func(body []byte) (Message, error)
+// decodeFunc decodes one kind's body; paths is nil outside PathCache.Unmarshal
+// and only the kinds that embed a path look at it.
+type decodeFunc func(body []byte, paths *PathCache) (Message, error)
 
 var decoders = map[Kind]decodeFunc{}
 
-// register installs the decoder for a kind; called from init funcs of the
-// per-protocol files. Panics on duplicates since that is a programming error.
-func register(k Kind, fn decodeFunc) {
+// register installs the decoder for a kind that embeds no path; called from
+// init funcs of the per-protocol files.
+func register(k Kind, fn func(body []byte) (Message, error)) {
+	registerPathed(k, func(body []byte, _ *PathCache) (Message, error) { return fn(body) })
+}
+
+// registerPathed installs a decoder that reads its path through the cache.
+// Panics on duplicates since that is a programming error.
+func registerPathed(k Kind, fn decodeFunc) {
 	if _, dup := decoders[k]; dup {
 		panic(fmt.Sprintf("wire: duplicate decoder for %v", k))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -299,5 +300,86 @@ func TestPutBufferDropsGrownBuffers(t *testing.T) {
 			t.Fatalf("GetBuffer returned len %d cap %d, want empty and at most %d", len(*bp), cap(*bp), maxPooledBuf)
 		}
 		defer PutBuffer(bp) // held until the end so that each Get digs deeper into the pool
+	}
+}
+
+// pathOf returns the embedded path of the two kinds that carry one.
+func pathOf(m Message) []ids.NodeID {
+	switch m := m.(type) {
+	case Data:
+		return m.Path
+	case BlobChunk:
+		return m.Path
+	}
+	return nil
+}
+
+// TestQuickPathCacheMatchesUnmarshal: for any run of frames — paths that
+// repeat, change and come back, path-less kinds in between, frames cut inside
+// the path, counts that point past the end, trailing bytes — decoding through
+// one PathCache gives, frame by frame, what the stateless Unmarshal gives,
+// also straight after a frame that failed. A repeated path is the previous
+// slice again, and nothing handed out earlier is written afterwards or views
+// the frame it came from.
+func TestQuickPathCacheMatchesUnmarshal(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		paths := [][]ids.NodeID{nil, randomIDs(r, 6), randomIDs(r, 6), randomIDs(r, 1)}
+		var cache PathCache
+		var got, want []Message
+		var shared []ids.NodeID // the cache's path, as this test predicts it
+		for i := 0; i < 60; i++ {
+			path := paths[r.Intn(len(paths))]
+			if r.Intn(3) == 0 && len(got) > 0 {
+				path = pathOf(want[len(want)-1]) // a run of equal paths
+			}
+			var m Message
+			switch r.Intn(5) {
+			case 0:
+				m = BlobChunk{Stream: 1, Blob: uint32(i), K: 1, N: 1, Path: path, Payload: []byte{byte(i)}}
+			case 1:
+				m = Shuffle{Origin: 9, Nodes: path}
+			default:
+				m = Data{Stream: 1, Seq: uint32(i), Path: path, Payload: []byte{byte(i), 1}}
+			}
+			frame := Marshal(m)
+			countAt := map[Kind]int{KindData: 11, KindBlobChunk: 25, KindShuffle: 8}[m.Kind()]
+			switch r.Intn(8) {
+			case 0: // cut inside the path (or just before the payload)
+				frame = frame[:countAt+2+len(path)*ids.WireSize/2]
+			case 1: // count x 6 runs past the end
+				frame[countAt] = 0xff
+			case 2:
+				frame = append(frame, 0)
+			}
+			ref, refErr := Unmarshal(bytes.Clone(frame))
+			m2, err := cache.Unmarshal(frame)
+			if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+				t.Errorf("frame %d (%v): cached decode error %v, stateless %v", i, m.Kind(), err, refErr)
+				return false
+			}
+			for j := range frame {
+				frame[j] ^= 0xa5 // the transport reuses its buffer
+			}
+			if err != nil {
+				shared = nil
+				continue
+			}
+			if p := pathOf(m2); len(p) > 0 {
+				if slices.Equal(p, shared) && &p[0] != &shared[0] {
+					t.Errorf("frame %d: path %v repeats the previous one and was decoded again", i, p)
+				}
+				shared = p
+			}
+			got, want = append(got, m2), append(want, ref)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("cached decodes differ from stateless ones:\n got  %v\n want %v", got, want)
+			return false
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

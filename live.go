@@ -116,7 +116,7 @@ func (n *Node) Join(contacts ...string) error {
 // returns its sequence number.
 func (n *Node) Publish(stream StreamID, payload []byte) uint32 {
 	var seq uint32
-	n.Do(func(p *Peer) { seq = p.Publish(stream, payload) })
+	n.ln.Call(func() { seq = n.peer.Publish(stream, payload) })
 	return seq
 }
 
