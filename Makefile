@@ -59,9 +59,9 @@ profile-scale:
 bench-blob:
 	$(GO) test -run '^$$' -bench BenchmarkBlob -benchtime 1x .
 
-# fuzz runs the wire-codec fuzz targets briefly (CI runs the same smoke);
-# longer local sessions: go test -fuzz FuzzDecoder -fuzztime 5m ./internal/wire
+# fuzz runs the wire-codec and dist-answer fuzz targets briefly (CI runs the
+# same smoke); longer local sessions: go test -fuzz FuzzDecoder -fuzztime 5m ./internal/wire
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 10s ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzMonitorDecoder$$' -fuzztime 10s ./internal/monitor
+	$(GO) test -run '^$$' -fuzz '^FuzzDistAnswer$$' -fuzztime 10s .

@@ -11,8 +11,9 @@
 //	brisa-sim -runtime dist -agents 127.0.0.1:7101,127.0.0.1:7102 -nodes 16 -messages 50
 //
 // On a real deployment give each agent its host's reachable address for
-// worker binds, e.g. `brisa-agent -listen 10.0.0.2:7101 -bind 10.0.0.2:0`,
-// and a -monitor address on the driver's host that every agent can reach.
+// worker binds, e.g. `brisa-agent -listen 10.0.0.2:7101 -bind 10.0.0.2:0`.
+// Workers never dial the driver: their measurements travel back as answers
+// on the control connection, so only the agents need be reachable from it.
 //
 // SECURITY: the control port is unauthenticated and unencrypted — anyone who
 // can reach it can spawn and kill processes as the agent's user. Bind it to
@@ -42,8 +43,8 @@ import (
 // specEnv carries the worker spec from agent to worker process.
 const specEnv = "BRISA_WORKER_SPEC"
 
-// helloTimeout bounds how long a spawned worker may take to bind its node,
-// dial the monitor, and report its hello line.
+// helloTimeout bounds how long a spawned worker may take to bind its node
+// and report its hello line.
 const helloTimeout = 10 * time.Second
 
 func main() {

@@ -107,7 +107,6 @@ func main() {
 		runtime  = flag.String("runtime", "sim", "runtime: sim | live (loopback TCP) | dist (remote agents; see -agents)")
 		workers  = flag.Int("workers", 0, "simulator scheduler shards (sim runtime only); 0 picks one per CPU, 1 forces the sequential engine, results are identical for every value")
 		agents   = flag.String("agents", "", "comma-separated brisa-agent control addresses (dist runtime only)")
-		monAddr  = flag.String("monitor", "", "measurement collector listen address (dist runtime only; default 127.0.0.1:0, must be agent-reachable on multi-host runs)")
 		asJSON   = flag.Bool("json", false, "print the report as JSON instead of text")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken right after the run to this file")
@@ -230,7 +229,6 @@ func main() {
 			os.Exit(2)
 		}
 		d.Agents = strings.Split(*agents, ",")
-		d.Monitor = *monAddr
 		rt = d
 	} else if *agents != "" {
 		fmt.Fprintf(os.Stderr, "-agents applies to the dist runtime only, ignored for %q\n", rt.Name())

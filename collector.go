@@ -200,7 +200,7 @@ func (col *collector) delivered(wi int, acc *nodeAcc, id NodeID, seq uint32, at 
 // register creates one node's accumulators: a delivery and a blob
 // accumulator per workload, plus a hard-repair sample when ProbeRepairs is
 // on (nil otherwise). The node's actor — or, on the distributed runtime, the
-// fold replaying its monitor stream — is their only writer.
+// barrier folding its worker's flush answers — is their only writer.
 func (col *collector) register(id NodeID) (accs []*nodeAcc, baccs []*blobAcc, hard *stats.Sample) {
 	accs = make([]*nodeAcc, len(col.ws))
 	baccs = make([]*blobAcc, len(col.bws))

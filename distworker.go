@@ -4,13 +4,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/monitor"
 )
 
 // DistConfig is the JSON-serializable subset of Config a distributed worker
@@ -106,15 +104,11 @@ func (dc DistConfig) toConfig() (Config, error) {
 }
 
 // DistWorkerSpec is everything one remote peer process needs: where to bind,
-// where the driver's monitor collector listens, the peer's configuration,
-// and the scenario's workload/probe tables (for instrumentation and
-// source-side publishing). brisa-agent serializes it into the worker's
-// environment.
+// the peer's configuration, and the scenario's workload/probe tables (for
+// instrumentation and source-side publishing). brisa-agent serializes it into
+// the worker's environment.
 type DistWorkerSpec struct {
-	Agent         string         `json:"agent"` // agent label, e.g. its control address
-	Index         int            `json:"index"` // join index in creation order
 	Listen        string         `json:"listen"`
-	Monitor       string         `json:"monitor"`
 	Config        DistConfig     `json:"config"`
 	Workloads     []Workload     `json:"workloads,omitempty"`
 	BlobWorkloads []BlobWorkload `json:"blob_workloads,omitempty"`
@@ -123,27 +117,20 @@ type DistWorkerSpec struct {
 
 func (spec DistWorkerSpec) probed(p Probe) bool { return Scenario{Probes: spec.Probes}.probed(p) }
 
-// distFlushEvery paces the worker's periodic measurement flush: fresh enough
-// for the driver's drain polls, coarse enough to batch deliveries.
-const distFlushEvery = 100 * time.Millisecond
-
-// distDeliveryBatch bounds delivery samples per Deliveries frame (well under
-// the decoder's element bound and the frame size bound).
+// distDeliveryBatch bounds the samples — deliveries, hard-repair delays and
+// blob completions — one flush answer carries: under 200 KB of JSON, far
+// below the agent channel's 1 MiB line bound.
 const distDeliveryBatch = 2048
 
-// distWorker is one remote peer process: a live Node plus the measurement
-// buffers its actor callbacks fill, streamed to the driver's collector.
+// distWorker is one remote peer process: a live Node plus the measurements
+// its actor callbacks buffer until a flush barrier collects them.
 type distWorker struct {
 	spec DistWorkerSpec
 	node *Node
 
-	sendMu sync.Mutex // serializes monitor frames (flusher vs command loop)
-	conn   net.Conn
-
-	mu      sync.Mutex        // guards the measurement buffers
-	samples [][]monitor.SeqAt // per workload, drained each flush
-	dups    []uint64          // per workload, delta since last flush
-	hard    []int64           // hard-repair delays, delta since last flush
+	mu  sync.Mutex // guards buf: the actor callbacks fill it, a barrier cuts it
+	buf distPage   // measured since the last cut
+	cut *distPage  // what the current barrier has yet to page out, nil between barriers
 }
 
 // distWorkerCmd is one driver command, relayed by the agent as a JSON line
@@ -154,25 +141,94 @@ type distWorkerCmd struct {
 	Wait     bool     `json:"wait,omitempty"`
 	WI       int      `json:"wi,omitempty"`
 	Index    int      `json:"index,omitempty"`
-	Token    uint64   `json:"token,omitempty"`
+	Blob     bool     `json:"blob,omitempty"` // count: WI is a blob workload
 }
 
 // distWorkerResp is the single JSON line answering each command (and the
 // hello line at startup).
 type distWorkerResp struct {
-	OK        bool   `json:"ok"`
-	Err       string `json:"err,omitempty"`
-	Addr      string `json:"addr,omitempty"`
-	Node      string `json:"node,omitempty"`
-	Neighbors int    `json:"neighbors,omitempty"`
-	Seq       uint32 `json:"seq,omitempty"`
+	OK        bool      `json:"ok"`
+	Err       string    `json:"err,omitempty"`
+	Addr      string    `json:"addr,omitempty"`
+	Node      string    `json:"node,omitempty"`
+	Neighbors int       `json:"neighbors,omitempty"`
+	Seq       uint32    `json:"seq,omitempty"`   // publish: sequence; publishblob: blob id
+	At        int64     `json:"at,omitempty"`    // publish: unix ns on the publisher's clock
+	Size      int       `json:"size,omitempty"`  // publishblob: payload bytes
+	Hash      uint64    `json:"hash,omitempty"`  // publishblob: FNV-64a of the payload
+	Count     uint64    `json:"count,omitempty"` // count
+	Page      *distPage `json:"page,omitempty"`  // flush
+}
+
+// distSample is one delivery: sequence number and receiver-clock instant.
+type distSample struct {
+	Seq uint32 `json:"q"`
+	At  int64  `json:"t"` // unix nanoseconds
+}
+
+// distBlobDone is one completed blob reconstruction.
+type distBlobDone struct {
+	WI   int           `json:"wi"`
+	ID   uint32        `json:"id"`
+	Hash uint64        `json:"hash"` // FNV-64a of the reassembled bytes
+	Size int           `json:"size"`
+	Lat  time.Duration `json:"lat"` // first chunk → reconstruction, on the node's clock
+}
+
+// distPage answers one flush command with part of the cut the worker took
+// at the barrier's first request: per-workload deliveries, hard-repair
+// delays and blob completions, at most distDeliveryBatch of them together.
+// The first page carries the rest of the cut too.
+type distPage struct {
+	More    bool            `json:"more,omitempty"`    // the cut has further pages
+	Samples [][]distSample  `json:"samples,omitempty"` // per workload
+	Hard    []time.Duration `json:"hard,omitempty"`
+	Dups    []uint64        `json:"dups,omitempty"` // per workload, since the last cut
+	Blobs   []distBlobDone  `json:"blobs,omitempty"`
+	State   *distState      `json:"state,omitempty"`
+}
+
+// samples counts the page's paged entries.
+func (p *distPage) samples() int {
+	n := len(p.Hard) + len(p.Blobs)
+	for _, s := range p.Samples {
+		n += len(s)
+	}
+	return n
+}
+
+// distState is the worker's cumulative state at a cut.
+type distState struct {
+	Traffic WireTraffic      `json:"traffic"`
+	Metrics Metrics          `json:"metrics"`
+	Streams []distStreamSnap `json:"streams,omitempty"` // per workload
+	Blobs   []BlobStats      `json:"blobs,omitempty"`   // per blob workload
+}
+
+// distStreamSnap is a peerSnapshot on the wire.
+type distStreamSnap struct {
+	Delivered    uint64        `json:"delivered"`
+	Orphan       bool          `json:"orphan,omitempty"`
+	Parents      []NodeID      `json:"parents,omitempty"`
+	Depth        int           `json:"depth,omitempty"`
+	DepthOK      bool          `json:"depth_ok,omitempty"`
+	Construction time.Duration `json:"construction,omitempty"`
+	ConstructOK  bool          `json:"construct_ok,omitempty"`
+}
+
+func wireSnapshot(s peerSnapshot) distStreamSnap {
+	return distStreamSnap{s.delivered, s.orphan, s.parents, s.depth, s.depthOK, s.construction, s.constructOK}
+}
+
+func (s distStreamSnap) peerSnapshot() peerSnapshot {
+	return peerSnapshot{s.Delivered, s.Orphan, s.Parents, s.Depth, s.DepthOK, s.Construction, s.ConstructOK}
 }
 
 // RunDistWorker is the body of a distributed peer process (brisa-agent
 // re-executes itself in worker mode and calls this). It binds a live Node
-// from the spec, streams measurements to the monitor collector, and serves
-// driver commands as JSON lines on stdin/stdout until stdin closes or a
-// close command arrives. Logs go to stderr; stdout carries exactly the
+// from the spec and serves driver commands as JSON lines on stdin/stdout
+// until stdin closes or a close command arrives; measurements leave only as
+// answers to flush commands. Logs go to stderr; stdout carries exactly the
 // hello line and one response line per command.
 func RunDistWorker(spec DistWorkerSpec) error {
 	cfg, err := spec.Config.toConfig()
@@ -188,23 +244,7 @@ func RunDistWorker(spec DistWorkerSpec) error {
 		return err
 	}
 	defer n.Close()
-	conn, err := net.Dial("tcp", spec.Monitor)
-	if err != nil {
-		return fmt.Errorf("brisa: dist worker: monitor %s: %w", spec.Monitor, err)
-	}
-	defer conn.Close()
-
-	w := &distWorker{
-		spec:    spec,
-		node:    n,
-		conn:    conn,
-		samples: make([][]monitor.SeqAt, len(spec.Workloads)),
-		dups:    make([]uint64, len(spec.Workloads)),
-	}
-	if err := w.send(monitor.Hello{Agent: spec.Agent, Index: uint32(spec.Index), Node: n.ID()}); err != nil {
-		return err
-	}
-	w.instrument()
+	w := newDistWorker(spec, n)
 
 	// The hello line tells the agent (and through it the driver) the bound
 	// address and derived node id.
@@ -212,22 +252,6 @@ func RunDistWorker(spec DistWorkerSpec) error {
 	if err := out.Encode(distWorkerResp{OK: true, Addr: n.Addr(), Node: n.ID().String()}); err != nil {
 		return err
 	}
-
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		t := time.NewTicker(distFlushEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				w.flushBuffers()
-				w.sendTraffic()
-			}
-		}
-	}()
 
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -250,6 +274,18 @@ func RunDistWorker(spec DistWorkerSpec) error {
 	return in.Err()
 }
 
+// newDistWorker wraps a node and registers the listeners that fill its
+// buffers.
+func newDistWorker(spec DistWorkerSpec, n *Node) *distWorker {
+	w := &distWorker{spec: spec, node: n, buf: newDistBuf(len(spec.Workloads))}
+	w.instrument()
+	return w
+}
+
+func newDistBuf(workloads int) distPage {
+	return distPage{Samples: make([][]distSample, workloads), Dups: make([]uint64, workloads)}
+}
+
 // handle executes one driver command; quit=true ends the process.
 func (w *distWorker) handle(cmd distWorkerCmd) (resp distWorkerResp, quit bool) {
 	switch cmd.Op {
@@ -270,19 +306,28 @@ func (w *distWorker) handle(cmd distWorkerCmd) (resp distWorkerResp, quit bool) 
 		return distWorkerResp{OK: true}, false
 	case "ready":
 		return distWorkerResp{OK: true, Neighbors: len(w.node.Neighbors())}, false
+	case "count":
+		n := len(w.spec.Workloads)
+		if cmd.Blob {
+			n = len(w.spec.BlobWorkloads)
+		}
+		if cmd.WI < 0 || cmd.WI >= n {
+			return distWorkerResp{Err: fmt.Sprintf("count: no workload %d", cmd.WI)}, false
+		}
+		if cmd.Blob {
+			return distWorkerResp{OK: true, Count: w.node.BlobsDelivered(w.spec.BlobWorkloads[cmd.WI].Stream)}, false
+		}
+		return distWorkerResp{OK: true, Count: w.node.DeliveredCount(w.spec.Workloads[cmd.WI].Stream)}, false
 	case "publish":
 		if cmd.WI < 0 || cmd.WI >= len(w.spec.Workloads) {
 			return distWorkerResp{Err: fmt.Sprintf("publish: no workload %d", cmd.WI)}, false
 		}
 		wl := w.spec.Workloads[cmd.WI]
 		// The injection instant is read before Publish, like the live
-		// runtime; the collector joins it with deliveries at fold time.
+		// runtime; the driver joins it with deliveries at each barrier.
 		at := time.Now()
 		seq := w.node.Publish(wl.Stream, make([]byte, wl.Payload))
-		if err := w.send(monitor.Publish{WI: uint16(cmd.WI), Seq: seq, At: at.UnixNano()}); err != nil {
-			return distWorkerResp{Err: err.Error()}, false
-		}
-		return distWorkerResp{OK: true, Seq: seq}, false
+		return distWorkerResp{OK: true, Seq: seq, At: at.UnixNano()}, false
 	case "publishblob":
 		if cmd.WI < 0 || cmd.WI >= len(w.spec.BlobWorkloads) {
 			return distWorkerResp{Err: fmt.Sprintf("publishblob: no blob workload %d", cmd.WI)}, false
@@ -296,17 +341,10 @@ func (w *distWorker) handle(cmd distWorkerCmd) (resp distWorkerResp, quit bool) 
 		if err != nil {
 			return distWorkerResp{Err: err.Error()}, false
 		}
-		if err := w.send(monitor.BlobPublished{WI: uint16(cmd.WI), Blob: id, Size: uint64(len(data)), Hash: blobHash(data)}); err != nil {
-			return distWorkerResp{Err: err.Error()}, false
-		}
-		return distWorkerResp{OK: true, Seq: id}, false
+		return distWorkerResp{OK: true, Seq: id, Size: len(data), Hash: blobHash(data)}, false
 	case "flush":
-		if err := w.flushBarrier(cmd.Token); err != nil {
-			return distWorkerResp{Err: err.Error()}, false
-		}
-		return distWorkerResp{OK: true}, false
+		return distWorkerResp{OK: true, Page: w.page()}, false
 	case "close":
-		w.flushBarrier(0)
 		w.node.Close()
 		return distWorkerResp{OK: true}, true
 	default:
@@ -314,158 +352,99 @@ func (w *distWorker) handle(cmd distWorkerCmd) (resp distWorkerResp, quit bool) 
 	}
 }
 
-// instrument registers the actor-side listeners. Callbacks only append to
-// the worker's buffers under its mutex; framing and I/O happen on the
-// flusher goroutine. Deliveries are always recorded — the driver's drain
-// poll needs the counts even without the latency probe.
+// instrument registers the actor-side listeners; they only append to the
+// worker's buffers under its mutex. As in the in-process collector, delivery
+// samples are taken under ProbeLatency only, and blob completions always:
+// blob reliability is verified against them.
 func (w *distWorker) instrument() {
 	wantDups := w.spec.probed(ProbeDuplicates)
 	wantRepairs := w.spec.probed(ProbeRepairs)
-	n := w.node
-	for wi := range w.spec.Workloads {
-		wi := wi
-		stream := w.spec.Workloads[wi].Stream
-		n.peer.brisa.SubscribeFn(stream, func(seq uint32, _ []byte) {
-			at := time.Now().UnixNano()
-			w.mu.Lock()
-			w.samples[wi] = append(w.samples[wi], monitor.SeqAt{Seq: seq, At: at})
-			w.mu.Unlock()
-		})
+	p := w.node.peer.brisa
+	if w.spec.probed(ProbeLatency) {
+		for wi, wl := range w.spec.Workloads {
+			p.SubscribeFn(wl.Stream, func(seq uint32, _ []byte) {
+				s := distSample{Seq: seq, At: time.Now().UnixNano()}
+				w.mu.Lock()
+				w.buf.Samples[wi] = append(w.buf.Samples[wi], s)
+				w.mu.Unlock()
+			})
+		}
 	}
-	for wi := range w.spec.BlobWorkloads {
-		wi := wi
-		stream := w.spec.BlobWorkloads[wi].Stream
-		n.peer.brisa.SubscribeBlobFn(stream, func(d core.BlobDelivery) {
-			lat := d.At.Sub(d.FirstChunkAt)
-			done := monitor.BlobDone{
-				WI:       uint16(wi),
-				Blob:     d.ID,
-				Hash:     blobHash(d.Data),
-				Bytes:    uint64(len(d.Data)),
-				LatNanos: int64(lat),
-			}
-			// Blob completions are rare; send inline rather than buffering.
-			w.send(done)
+	for wi, wl := range w.spec.BlobWorkloads {
+		p.SubscribeBlobFn(wl.Stream, func(d core.BlobDelivery) {
+			done := distBlobDone{WI: wi, ID: d.ID, Hash: blobHash(d.Data), Size: len(d.Data), Lat: d.At.Sub(d.FirstChunkAt)}
+			w.mu.Lock()
+			w.buf.Blobs = append(w.buf.Blobs, done)
+			w.mu.Unlock()
 		})
 	}
 	if !wantDups && !wantRepairs {
 		return
 	}
-	n.peer.brisa.SubscribeEvents(func(ev Event) {
+	p.SubscribeEvents(func(ev Event) {
 		switch {
 		case wantDups && ev.Type == EvDuplicate:
-			for wi := range w.spec.Workloads {
-				if w.spec.Workloads[wi].Stream == ev.Stream {
+			for wi, wl := range w.spec.Workloads {
+				if wl.Stream == ev.Stream {
 					w.mu.Lock()
-					w.dups[wi]++
+					w.buf.Dups[wi]++
 					w.mu.Unlock()
 				}
 			}
 		case wantRepairs && ev.Type == EvRepaired && ev.Hard:
 			w.mu.Lock()
-			w.hard = append(w.hard, int64(ev.Dur))
+			w.buf.Hard = append(w.buf.Hard, ev.Dur)
 			w.mu.Unlock()
 		}
 	})
 }
 
-// send writes one monitor frame, serialized against concurrent senders.
-func (w *distWorker) send(m monitor.Message) error {
-	w.sendMu.Lock()
-	defer w.sendMu.Unlock()
-	return monitor.WriteFrame(w.conn, m)
+// page answers one flush command. A barrier's first request cuts the buffers
+// and reads the node's state; every request then pages out at most
+// distDeliveryBatch samples of that cut, so a barrier ends however fast new
+// deliveries arrive and each sample leaves exactly once.
+func (w *distWorker) page() *distPage {
+	if w.cut == nil {
+		w.mu.Lock()
+		cut := w.buf
+		w.buf = newDistBuf(len(w.spec.Workloads))
+		w.mu.Unlock()
+		cut.State = w.state()
+		w.cut = &cut
+	}
+	page := *w.cut
+	rest := distPage{Samples: make([][]distSample, len(page.Samples))}
+	page.Samples = make([][]distSample, len(rest.Samples))
+	budget := distDeliveryBatch
+	for wi, s := range w.cut.Samples {
+		page.Samples[wi], rest.Samples[wi] = split(s, &budget)
+	}
+	page.Hard, rest.Hard = split(page.Hard, &budget)
+	page.Blobs, rest.Blobs = split(page.Blobs, &budget)
+	w.cut = nil
+	if page.More = rest.samples() > 0; page.More {
+		w.cut = &rest
+	}
+	return &page
 }
 
-// flushBuffers drains the measurement buffers into monitor frames.
-func (w *distWorker) flushBuffers() {
-	w.mu.Lock()
-	samples := make([][]monitor.SeqAt, len(w.samples))
-	for wi := range w.samples {
-		if len(w.samples[wi]) > 0 {
-			samples[wi] = w.samples[wi]
-			w.samples[wi] = nil
-		}
-	}
-	dups := make([]uint64, len(w.dups))
-	copy(dups, w.dups)
-	for wi := range w.dups {
-		w.dups[wi] = 0
-	}
-	hard := w.hard
-	w.hard = nil
-	w.mu.Unlock()
-
-	for wi := range samples {
-		for len(samples[wi]) > 0 {
-			batch := samples[wi]
-			if len(batch) > distDeliveryBatch {
-				batch = batch[:distDeliveryBatch]
-			}
-			samples[wi] = samples[wi][len(batch):]
-			w.send(monitor.Deliveries{WI: uint16(wi), Samples: batch})
-		}
-		if dups[wi] > 0 {
-			w.send(monitor.Duplicates{WI: uint16(wi), Count: dups[wi]})
-		}
-	}
-	if len(hard) > 0 {
-		w.send(monitor.Repairs{HardNanos: hard})
-	}
+// split cuts up to *budget elements off the front of s.
+func split[T any](s []T, budget *int) (head, tail []T) {
+	n := min(len(s), *budget)
+	*budget -= n
+	return s[:n], s[n:]
 }
 
-// sendTraffic reports the node's cumulative wire counters.
-func (w *distWorker) sendTraffic() {
-	t := w.node.Traffic()
-	w.send(monitor.Traffic{MsgsIn: t.MsgsIn, MsgsOut: t.MsgsOut, BytesIn: t.BytesIn, BytesOut: t.BytesOut})
-}
-
-// flushBarrier drains everything the node has measured — buffers, traffic,
-// protocol counters, per-stream snapshots — then emits the Flush marker, so
-// once the collector passes the token it holds a consistent cut of this
-// node's state.
-func (w *distWorker) flushBarrier(token uint64) error {
-	w.flushBuffers()
-	w.sendTraffic()
-	m := w.node.Metrics()
-	if err := w.send(monitor.NodeMetrics{
-		ParentsLost: m.ParentsLost, Orphans: m.Orphans,
-		SoftRepairs: m.SoftRepairs, HardRepairs: m.HardRepairs,
-	}); err != nil {
-		return err
-	}
-	for wi := range w.spec.Workloads {
-		stream := w.spec.Workloads[wi].Stream
-		var snap peerSnapshot
-		w.node.Do(func(p *Peer) { snap = snapshotPeer(p, stream) })
-		if err := w.send(monitor.StreamSnap{
-			WI:             uint16(wi),
-			Delivered:      snap.delivered,
-			Orphan:         snap.orphan,
-			Parents:        snap.parents,
-			Depth:          int32(snap.depth),
-			DepthOK:        snap.depthOK,
-			ConstructNanos: int64(snap.construction),
-			ConstructOK:    snap.constructOK,
-		}); err != nil {
-			return err
+// state reads the node's cumulative state for a cut.
+func (w *distWorker) state() *distState {
+	st := &distState{Traffic: w.node.Traffic(), Metrics: w.node.Metrics()}
+	w.node.Do(func(p *Peer) {
+		for _, wl := range w.spec.Workloads {
+			st.Streams = append(st.Streams, wireSnapshot(snapshotPeer(p, wl.Stream)))
 		}
-	}
-	for wi := range w.spec.BlobWorkloads {
-		bs := w.node.BlobStats(w.spec.BlobWorkloads[wi].Stream)
-		if err := w.send(monitor.BlobSnap{
-			WI:             uint16(wi),
-			Published:      bs.Published,
-			Delivered:      bs.Delivered,
-			Dropped:        bs.Dropped,
-			ChunksReceived: bs.ChunksReceived,
-			ChunkDups:      bs.ChunkDups,
-			ChunksPulled:   bs.ChunksPulled,
-			ChunksServed:   bs.ChunksServed,
-			WantsSent:      bs.WantsSent,
-			ChunkBytesSent: bs.ChunkBytesSent,
-		}); err != nil {
-			return err
+		for _, wl := range w.spec.BlobWorkloads {
+			st.Blobs = append(st.Blobs, p.BlobStats(wl.Stream))
 		}
-	}
-	return w.send(monitor.Flush{Token: token})
+	})
+	return st
 }

@@ -40,18 +40,15 @@ func ExampleRun() {
 // brisa-agent daemon per host, list their control addresses, and Run spawns
 // the peer processes round-robin across them, drives workloads and churn
 // remotely (churn kills and restarts real processes), and folds the
-// measurement stream back into the usual Report. No // Output: — the
-// example needs running agents (CI starts two on loopback; see the
-// dist-smoke job).
+// workers' measurements, collected over the same control connections, into
+// the usual Report. No // Output: — the example needs running agents (CI
+// starts two on loopback; see the dist-smoke job).
 func ExampleRun_dist() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
 	rep, err := brisa.Run(ctx, brisa.DistRuntime{
 		Agents: []string{"10.0.0.2:7101", "10.0.0.3:7101"},
-		// Monitor must be reachable from every agent host; on one host the
-		// default 127.0.0.1:0 works.
-		Monitor: "10.0.0.1:0",
 	}, brisa.Scenario{
 		Name: "two hosts",
 		Topology: brisa.Topology{

@@ -4,36 +4,34 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"repro/internal/ids"
-	"repro/internal/monitor"
+	"repro/internal/stats"
 )
 
 // DistRuntime runs scenarios across machines: real peer processes spawned by
-// pre-started brisa-agent daemons (one per host), streaming measurements
-// back to an in-driver monitor collector that folds them into the shared
-// Report. The unchanged Scenario grammar applies — Topology places
-// join-indexed peers round-robin across the agents (PeerConfig re-keying
-// carries over), Workloads and BlobWorkloads are dispatched to the owning
-// agent, and Churn scripts kill and restart real remote processes.
+// pre-started brisa-agent daemons (one per host), measured through the same
+// control channel that drives them — each flush barrier's answers are folded
+// into the shared Report. The unchanged Scenario grammar applies — Topology
+// places join-indexed peers round-robin across the agents (PeerConfig
+// re-keying carries over), Workloads and BlobWorkloads are dispatched to the
+// owning agent, and Churn scripts kill and restart real remote processes.
 //
 // Everything works with all agents on 127.0.0.1 (how CI exercises it) and
-// across real hosts; cross-host latency measurements inherit the hosts'
-// clock synchronization (see internal/monitor). Like LiveRuntime, dist runs
-// are wall-clock and not seed-reproducible.
+// across real hosts: workers never dial back, so the driver only needs to
+// reach the agents. Latencies join each receiver's wall clock against the
+// publisher's, so across hosts they inherit the hosts' clock
+// synchronization. Like LiveRuntime, dist runs are wall-clock and not
+// seed-reproducible.
 type DistRuntime struct {
 	// Agents are the control addresses of pre-started brisa-agent daemons
 	// ("host:port"). Required; peers are placed round-robin across them in
 	// join-index order.
 	Agents []string
-	// Monitor is the address the driver's measurement collector listens on
-	// (default "127.0.0.1:0"). On multi-host deployments set it to an
-	// address on the driver's host that every agent host can reach.
-	Monitor string
 	// DialTimeout bounds each agent control-connection dial (default 5s).
 	DialTimeout time.Duration
 }
@@ -49,16 +47,18 @@ func (DistRuntime) SupportsBlobs() bool { return true }
 // loopback goroutines, so the dist default is above liveStabilize.
 const distStabilize = 30 * time.Second
 
-// distFlushTimeout bounds each flush barrier (spawned workers answer in
-// milliseconds; the headroom covers loaded CI machines).
+// distFlushTimeout bounds each flush barrier: a worker that has not answered
+// every page by then fails the run (spawned workers answer in milliseconds;
+// the headroom covers loaded CI machines).
 const distFlushTimeout = 30 * time.Second
 
 // Run executes the scenario across the runtime's agents: one worker process
 // per topology slot (round-robin), workloads dispatched to the owning agents
 // in wall time, the churn script replayed by killing and spawning real
-// remote processes, and the monitor stream — behind flush barriers — folded
-// into a Report of the same shape the other runtimes produce. Prefer the
-// package-level Run, which applies defaults and stamps run metadata.
+// remote processes, and the workers' measurements — collected at flush
+// barriers — folded into a Report of the same shape the other runtimes
+// produce. Prefer the package-level Run, which applies defaults and stamps
+// run metadata.
 func (rt DistRuntime) Run(ctx context.Context, sc Scenario) (*Report, error) {
 	sc = sc.withDefaults()
 	dn := &distNet{rt: rt}
@@ -67,23 +67,28 @@ func (rt DistRuntime) Run(ctx context.Context, sc Scenario) (*Report, error) {
 }
 
 // distNet is the distributed runtime's world: an overlay of worker processes
-// across the agents, measured through the monitor collector.
+// across the agents, measured at flush barriers.
 type distNet struct {
 	overlay[*distMember]
 	rt     DistRuntime
 	col    *collector
-	mon    *monitor.Collector
 	agents []*agentConn
-	token  uint64 // last flush barrier
 }
 
-// distMember is one remote worker process.
+// distMember is one remote worker process, with the accumulators its flush
+// answers are folded into.
 type distMember struct {
 	dn     *distNet
 	agent  *agentConn
 	worker int // agent-assigned worker handle
 	addr   string
 	id     NodeID
+
+	accs  []*nodeAcc
+	baccs []*blobAcc
+	hard  *stats.Sample // nil unless ProbeRepairs
+	state *distState    // as of the last barrier
+	base  WireTraffic   // traffic at markStart (zero for churn joiners)
 }
 
 func (m *distMember) nodeID() NodeID  { return m.id }
@@ -106,14 +111,123 @@ func (m *distMember) neighbors() int {
 	return resp.Neighbors
 }
 
-// delivered and blobsDelivered read the collector's buffered sample stream
-// (at most one worker flush interval stale).
-func (m *distMember) delivered(wi int) int      { return m.dn.mon.DeliveredCount(m.id, wi) }
-func (m *distMember) blobsDelivered(wi int) int { return m.dn.mon.BlobDoneCount(m.id, wi) }
+// delivered and blobsDelivered ask the worker (0 when it does not answer).
+func (m *distMember) delivered(wi int) int {
+	resp, _ := m.cmd(distWorkerCmd{Op: "count", WI: wi})
+	return int(resp.Count)
+}
+
+func (m *distMember) blobsDelivered(wi int) int {
+	resp, _ := m.cmd(distWorkerCmd{Op: "count", WI: wi, Blob: true})
+	return int(resp.Count)
+}
 
 // kill SIGKILLs the worker process through its agent, which reaps it.
 func (m *distMember) kill() {
 	_, _ = m.agent.call(m.dn.ctx, distCtrlReq{Op: "kill", Worker: m.worker})
+}
+
+// flush pages through the cut the worker takes at the barrier's first
+// request, folding each page.
+func (m *distMember) flush(ctx context.Context) error {
+	for first := true; ; first = false {
+		resp, err := m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "flush"})
+		if err != nil {
+			return err
+		}
+		if first && resp.Page != nil && resp.Page.State == nil {
+			return errors.New("first flush page carries no state")
+		}
+		if err := m.fold(resp.Page); err != nil {
+			return err
+		}
+		if !resp.Page.More {
+			return nil
+		}
+	}
+}
+
+// fold checks one flush page against the scenario and, only if all of it
+// fits, adds it through the collector calls the in-process runtimes make.
+func (m *distMember) fold(p *distPage) error {
+	if err := p.check(m.dn.sc); err != nil {
+		return err
+	}
+	col := m.dn.col
+	for wi, samples := range p.Samples {
+		for _, s := range samples {
+			col.delivered(wi, m.accs[wi], m.id, s.Seq, time.Unix(0, s.At))
+		}
+	}
+	for wi, n := range p.Dups {
+		m.accs[wi].dups += n
+	}
+	if m.hard != nil {
+		for _, d := range p.Hard {
+			m.hard.AddDuration(d)
+		}
+	}
+	for _, b := range p.Blobs {
+		m.baccs[b.WI].recs[b.ID] = newBlobRec(b.Hash, b.Size, b.Lat)
+	}
+	if p.State != nil {
+		m.state = p.State
+	}
+	return nil
+}
+
+// check refuses a page that does not fit the scenario, so a broken or
+// hostile worker fails the run instead of indexing out of range or skewing
+// a fold.
+func (p *distPage) check(sc Scenario) error {
+	if p == nil {
+		return errors.New("flush answer carries no page")
+	}
+	nw, nb := len(sc.Workloads), len(sc.BlobWorkloads)
+	if len(p.Samples) > nw || len(p.Dups) > nw {
+		return fmt.Errorf("page covers %d workloads, the scenario has %d", max(len(p.Samples), len(p.Dups)), nw)
+	}
+	if n := p.samples(); n > distDeliveryBatch {
+		return fmt.Errorf("page holds %d samples, max %d", n, distDeliveryBatch)
+	}
+	for _, d := range p.Hard {
+		if d < 0 {
+			return fmt.Errorf("negative hard-repair delay %v", d)
+		}
+	}
+	for _, b := range p.Blobs {
+		if b.WI < 0 || b.WI >= nb {
+			return fmt.Errorf("completion for blob workload %d, the scenario has %d", b.WI, nb)
+		}
+		if b.Size < 0 || b.Lat < 0 {
+			return fmt.Errorf("blob %d: size %d and latency %v must not be negative", b.ID, b.Size, b.Lat)
+		}
+	}
+	if st := p.State; st != nil {
+		if len(st.Streams) != nw || len(st.Blobs) != nb {
+			return fmt.Errorf("state covers %d workloads and %d blob workloads, the scenario has %d and %d",
+				len(st.Streams), len(st.Blobs), nw, nb)
+		}
+		for wi, s := range st.Streams {
+			if s.Construction < 0 {
+				return fmt.Errorf("workload %d: negative construction time %v", wi, s.Construction)
+			}
+		}
+	}
+	return nil
+}
+
+// snapshot is the member's end-of-run state as of the last barrier.
+func (m *distMember) snapshot() memberSnapshot {
+	ms := memberSnapshot{id: m.id, blobs: m.state.Blobs}
+	for _, s := range m.state.Streams {
+		ms.streams = append(ms.streams, s.peerSnapshot())
+	}
+	if m.dn.sc.probed(ProbeTraffic) {
+		delta := m.state.Traffic.Sub(m.base)
+		ms.traffic = &memberTraffic{stab: m.base.BytesOut, up: delta.BytesOut, down: delta.BytesIn}
+	}
+	return ms
 }
 
 // check implements host: beyond validity, the configuration must survive
@@ -126,7 +240,9 @@ func (dn *distNet) check(cfg Config) error {
 	return err
 }
 
-// spawn implements host: start one worker on its round-robin agent.
+// spawn implements host: start one worker on its round-robin agent and
+// register its accumulators, so a member that dies mid-run keeps what its
+// last barrier folded, as on the other runtimes.
 func (dn *distNet) spawn(idx int, cfg Config) (*distMember, error) {
 	dc, err := distConfigOf(cfg)
 	if err != nil {
@@ -134,9 +250,6 @@ func (dn *distNet) spawn(idx int, cfg Config) (*distMember, error) {
 	}
 	a := dn.agents[idx%len(dn.agents)]
 	resp, err := a.call(dn.ctx, distCtrlReq{Op: "spawn", Spec: &DistWorkerSpec{
-		Agent:         a.addr,
-		Index:         idx,
-		Monitor:       dn.mon.Addr(),
 		Config:        dc,
 		Workloads:     dn.sc.Workloads,
 		BlobWorkloads: dn.sc.BlobWorkloads,
@@ -149,24 +262,21 @@ func (dn *distNet) spawn(idx int, cfg Config) (*distMember, error) {
 	if err != nil {
 		return nil, fmt.Errorf("agent %s: worker node id %q: %w", a.addr, resp.Node, err)
 	}
-	return &distMember{dn: dn, agent: a, worker: resp.Worker, addr: resp.Addr, id: id}, nil
+	return dn.member(a, resp.Worker, resp.Addr, id), nil
 }
 
-// bringUp starts the monitor collector, dials the agents, spawns the
-// initial workers, waits for their monitor connections and bootstraps them.
+func (dn *distNet) member(a *agentConn, worker int, addr string, id NodeID) *distMember {
+	m := &distMember{dn: dn, agent: a, worker: worker, addr: addr, id: id}
+	m.accs, m.baccs, m.hard = dn.col.register(id)
+	return m
+}
+
+// bringUp dials the agents, spawns the initial workers and bootstraps them.
 func (dn *distNet) bringUp(ctx context.Context, col *collector) error {
 	dn.col = col
 	rt := dn.rt
 	if len(rt.Agents) == 0 {
 		return fmt.Errorf("DistRuntime needs at least one agent address")
-	}
-	monAddr := rt.Monitor
-	if monAddr == "" {
-		monAddr = "127.0.0.1:0"
-	}
-	var err error
-	if dn.mon, err = monitor.NewCollector(monAddr); err != nil {
-		return err
 	}
 	dialTimeout := rt.DialTimeout
 	if dialTimeout == 0 {
@@ -182,55 +292,55 @@ func (dn *distNet) bringUp(ctx context.Context, col *collector) error {
 	if err := dn.spawnInitial(ctx); err != nil {
 		return err
 	}
-	if err := dn.mon.WaitFor(ctx, dn.aliveIDs(), distFlushTimeout); err != nil {
-		return err
-	}
 	return dn.connect(ctx)
 }
 
-// aliveIDs projects the alive members onto their node ids.
-func (dn *distNet) aliveIDs() []NodeID {
-	ms := dn.alive()
-	out := make([]NodeID, len(ms))
-	for i, m := range ms {
-		out[i] = m.id
-	}
-	return out
-}
-
 // markStart takes the traffic baseline behind a flush barrier — every
-// node's precise counters at dissemination start; bytes before it are the
+// node's counters at dissemination start; bytes before it are the
 // stabilization phase — and starts the clock.
 func (dn *distNet) markStart(ctx context.Context) error {
 	if dn.sc.probed(ProbeTraffic) {
 		if err := dn.flushBarrier(ctx); err != nil {
 			return fmt.Errorf("baseline: %w", err)
 		}
-		dn.mon.MarkTrafficBase(dn.aliveIDs())
+		for _, m := range dn.alive() {
+			m.base = m.state.Traffic
+		}
 	}
 	dn.t0 = time.Now()
 	return nil
 }
 
-// publish dispatches through the source's agent. The worker records the
-// publish instant on its own clock and streams it to the collector.
+// publish dispatches through the source's agent; the worker answers with
+// the publish instant on its own clock.
 func (dn *distNet) publish(wi, _ int) error {
-	_, err := dn.slots[dn.sc.Workloads[wi].Source].m.cmd(distWorkerCmd{Op: "publish", WI: wi})
+	resp, err := dn.slots[dn.sc.Workloads[wi].Source].m.cmd(distWorkerCmd{Op: "publish", WI: wi})
+	if err == nil {
+		dn.col.published(wi, resp.Seq, time.Unix(0, resp.At))
+	}
 	return err
 }
 
 func (dn *distNet) publishBlob(wi, i int) error {
-	_, err := dn.slots[dn.sc.BlobWorkloads[wi].Source].m.cmd(distWorkerCmd{Op: "publishblob", WI: wi, Index: i})
+	m := dn.slots[dn.sc.BlobWorkloads[wi].Source].m
+	resp, err := m.cmd(distWorkerCmd{Op: "publishblob", WI: wi, Index: i})
+	if err == nil && resp.Size < 0 {
+		err = fmt.Errorf("node %v: negative blob size %d", m.id, resp.Size)
+	}
+	if err == nil {
+		// Recording after the call is safe: hash verification runs at fold time.
+		dn.col.blobPublished(wi, resp.Seq, resp.Size, resp.Hash)
+	}
 	return err
 }
 
-// flushBarrier runs one flush round: every alive worker drains its buffers
-// and snapshots onto its monitor connection, then the collector is awaited
-// until it has seen the token from all of them — after which it holds a
-// consistent cut of every node's measurements.
+// flushBarrier collects from every alive worker, in parallel, everything it
+// measured up to the cut it takes at the barrier's first request, and folds
+// it. A worker that does not answer within distFlushTimeout, or answers
+// something that does not fit the scenario, fails the barrier by name.
 func (dn *distNet) flushBarrier(ctx context.Context) error {
-	dn.token++
-	token := dn.token
+	ctx, cancel := context.WithTimeout(ctx, distFlushTimeout)
+	defer cancel()
 	members := dn.alive()
 	var wg sync.WaitGroup
 	errs := make([]error, len(members))
@@ -238,7 +348,7 @@ func (dn *distNet) flushBarrier(ctx context.Context) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "flush", Token: token})
+			errs[i] = m.flush(ctx)
 		}()
 	}
 	wg.Wait()
@@ -247,7 +357,7 @@ func (dn *distNet) flushBarrier(ctx context.Context) error {
 			return fmt.Errorf("flush node %v: %w", members[i].id, err)
 		}
 	}
-	return dn.mon.WaitFlush(ctx, token, dn.aliveIDs(), distFlushTimeout)
+	return nil
 }
 
 // metrics reads every alive node's protocol counters behind a flush
@@ -258,109 +368,30 @@ func (dn *distNet) metrics(ctx context.Context) (map[NodeID]Metrics, error) {
 		return nil, err
 	}
 	out := make(map[NodeID]Metrics)
-	dn.mon.View(func(nodes map[ids.NodeID]*monitor.NodeState, _ map[int]map[uint32]int64, _ map[int]map[uint32]monitor.BlobPublished) {
-		for _, m := range dn.alive() {
-			if ns, ok := nodes[m.id]; ok {
-				nm := ns.Metrics
-				out[m.id] = Metrics{
-					ParentsLost: nm.ParentsLost, Orphans: nm.Orphans,
-					SoftRepairs: nm.SoftRepairs, HardRepairs: nm.HardRepairs,
-				}
-			}
-		}
-	})
+	for _, m := range dn.alive() {
+		out[m.id] = m.state.Metrics
+	}
 	return out, nil
 }
 
-// snapshot passes the final flush barrier — after it the monitor holds every
-// survivor's complete measurement stream and end-of-run state — and replays
-// that stream into the driver's collector: publishes, then each survivor's
-// deliveries through the same published/delivered path an in-process actor
-// takes, so the folds cannot tell the runtimes apart.
+// snapshot passes the final flush barrier, which folds every survivor's
+// last measurements, and reads the survivors' end-of-run state.
 func (dn *distNet) snapshot(ctx context.Context) (*worldSnapshot, error) {
 	if err := dn.flushBarrier(ctx); err != nil {
 		return nil, fmt.Errorf("final flush: %w", err)
 	}
-	sc, col := dn.sc, dn.col
-	snap := &worldSnapshot{nodes: sc.Topology.Nodes}
-	dn.mon.View(func(nodes map[ids.NodeID]*monitor.NodeState, pubs map[int]map[uint32]int64, blobs map[int]map[uint32]monitor.BlobPublished) {
-		for wi := range sc.Workloads {
-			for seq, at := range pubs[wi] { //brisa:orderinvariant keyed inserts and a count
-				col.published(wi, seq, time.Unix(0, at))
-			}
-		}
-		for wi := range sc.BlobWorkloads {
-			for id, bp := range blobs[wi] { //brisa:orderinvariant keyed inserts and integer sums
-				col.blobPublished(wi, id, int(bp.Size), bp.Hash)
-			}
-		}
-		for _, m := range dn.alive() {
-			ns := nodes[m.id]
-			if ns == nil {
-				continue
-			}
-			accs, baccs, hard := col.register(m.id)
-			ms := memberSnapshot{
-				id:      m.id,
-				streams: make([]peerSnapshot, len(sc.Workloads)),
-				blobs:   make([]BlobStats, len(sc.BlobWorkloads)),
-			}
-			for wi := range sc.Workloads {
-				st := ns.Streams[wi]
-				if st == nil {
-					continue
-				}
-				for _, s := range st.Samples {
-					col.delivered(wi, accs[wi], m.id, s.Seq, time.Unix(0, s.At))
-				}
-				accs[wi].dups = st.Dups
-				if ss := st.Snap; ss != nil {
-					ms.streams[wi] = peerSnapshot{
-						delivered: ss.Delivered, orphan: ss.Orphan, parents: ss.Parents,
-						depth: int(ss.Depth), depthOK: ss.DepthOK,
-						construction: time.Duration(ss.ConstructNanos), constructOK: ss.ConstructOK,
-					}
-				}
-			}
-			for wi := range sc.BlobWorkloads {
-				bst := ns.Blobs[wi]
-				if bst == nil {
-					continue
-				}
-				for id, done := range bst.Done { //brisa:orderinvariant keyed inserts
-					baccs[wi].recs[id] = newBlobRec(done.Hash, int(done.Bytes), time.Duration(done.LatNanos))
-				}
-				if bs := bst.Snap; bs != nil {
-					ms.blobs[wi] = BlobStats{
-						Published: bs.Published, Delivered: bs.Delivered, Dropped: bs.Dropped,
-						ChunksReceived: bs.ChunksReceived, ChunkDups: bs.ChunkDups, ChunksPulled: bs.ChunksPulled,
-						ChunksServed: bs.ChunksServed, WantsSent: bs.WantsSent, ChunkBytesSent: bs.ChunkBytesSent,
-					}
-				}
-			}
-			if hard != nil {
-				for _, d := range ns.HardNanos {
-					hard.AddDuration(time.Duration(d))
-				}
-			}
-			if ns.HasTraffic && sc.probed(ProbeTraffic) {
-				delta := ns.Traffic.Sub(ns.TrafficBase)
-				ms.traffic = &memberTraffic{stab: ns.TrafficBase.BytesOut, up: delta.BytesOut, down: delta.BytesIn}
-			}
-			snap.survivors = append(snap.survivors, ms)
-		}
-	})
+	snap := &worldSnapshot{nodes: dn.sc.Topology.Nodes}
+	for _, m := range dn.alive() {
+		snap.survivors = append(snap.survivors, m.snapshot())
+	}
 	return snap, nil
 }
 
-// close drops the agent control connections — each agent then kills every
-// worker that connection spawned — and stops the monitor collector.
+// close drops the agent control connections; each agent then kills every
+// worker that connection spawned.
 func (dn *distNet) close() {
 	for _, a := range dn.agents {
 		a.conn.Close()
-	}
-	if dn.mon != nil {
-		dn.mon.Close()
 	}
 }
 
@@ -410,13 +441,18 @@ func dialAgent(addr string, timeout time.Duration) (*agentConn, error) {
 	return a, nil
 }
 
+// readLoop routes each answer line to its caller. A line that does not
+// decode cannot be routed, so it ends the connection like EOF: every pending
+// call fails with the decode error instead of waiting for the run's context.
 func (a *agentConn) readLoop() {
 	in := bufio.NewScanner(a.conn)
 	in.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	var err error
 	for in.Scan() {
 		var resp distCtrlResp
-		if err := json.Unmarshal(in.Bytes(), &resp); err != nil {
-			continue
+		if err = json.Unmarshal(in.Bytes(), &resp); err != nil {
+			err = fmt.Errorf("agent %s: undecodable answer: %w", a.addr, err)
+			break
 		}
 		a.mu.Lock()
 		ch := a.pend[resp.ID]
@@ -426,10 +462,13 @@ func (a *agentConn) readLoop() {
 			ch <- resp
 		}
 	}
-	err := in.Err()
+	if err == nil {
+		err = in.Err()
+	}
 	if err == nil {
 		err = fmt.Errorf("agent %s: connection closed", a.addr)
 	}
+	a.conn.Close()
 	a.mu.Lock()
 	a.broken = err
 	pend := a.pend
