@@ -4,6 +4,7 @@ package brisa_test
 // errors instead of panicking or silently correcting contradictory input.
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,12 +30,12 @@ func TestNewClusterValidation(t *testing.T) {
 			t.Errorf("case %d: NewCluster(%+v) = %v, want error", i, cfg, c)
 		}
 	}
-	// A PeerConfig-derived invalid configuration surfaces at build time too.
+	// A PeerConfigAt-derived invalid configuration surfaces at build time too.
 	if _, err := brisa.NewCluster(brisa.ClusterConfig{
-		Nodes:      4,
-		PeerConfig: func(brisa.NodeID) brisa.Config { return brisa.Config{Parents: -1} },
+		Nodes:        4,
+		PeerConfigAt: func(int) brisa.Config { return brisa.Config{Parents: -1} },
 	}); err == nil {
-		t.Error("NewCluster accepted an invalid PeerConfig-derived configuration")
+		t.Error("NewCluster accepted an invalid PeerConfigAt-derived configuration")
 	}
 }
 
@@ -115,6 +116,97 @@ func TestSimulatedSubscription(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("timed out waiting for seq %d", want)
+		}
+	}
+}
+
+// TestOnDeliverFiresForReceptionsOnly pins what Config.OnDeliver counts: a
+// peer's receptions, never its own publishes — while a Subscribe on the
+// source still sees every sequence — on the simulator and on a live pair.
+func TestOnDeliverFiresForReceptionsOnly(t *testing.T) {
+	const nodes, msgs = 16, 20
+	for _, mode := range []brisa.Mode{brisa.ModeFlood, brisa.ModeTree, brisa.ModeDAG, brisa.ModeSimpleGossip} {
+		t.Run(mode.String(), func(t *testing.T) {
+			counts := make([]atomic.Int64, nodes) // OnDeliver runs on scheduler shard goroutines
+			c := newTestCluster(t, brisa.ClusterConfig{
+				Nodes: nodes, Seed: 13,
+				PeerConfigAt: func(i int) brisa.Config {
+					return brisa.Config{Mode: mode, OnDeliver: func(brisa.StreamID, uint32, []byte) { counts[i].Add(1) }}
+				},
+			})
+			defer c.Close()
+			c.Bootstrap()
+			src := c.Peers()[0]
+			sub := src.Subscribe(1)
+			defer sub.Cancel()
+			publishStream(c, src, 1, msgs, 200*time.Millisecond, 8)
+			c.Net.RunFor(msgs*200*time.Millisecond + 10*time.Second)
+
+			expectSeqs(t, sub, msgs)
+			if got := counts[0].Load(); got != 0 {
+				t.Errorf("the source's OnDeliver fired %d times for its own publishes", got)
+			}
+			for i, p := range c.Peers()[1:] {
+				if got, want := counts[i+1].Load(), p.DeliveredCount(1); got != int64(want) || want != msgs {
+					t.Errorf("peer %v: OnDeliver fired %d times, DeliveredCount %d, published %d", p.ID(), got, want, msgs)
+				}
+			}
+		})
+	}
+	t.Run("live", func(t *testing.T) {
+		var counts [2]atomic.Int64
+		pair := make([]*brisa.Node, 2)
+		for i := range pair {
+			n, err := brisa.Listen("127.0.0.1:0", brisa.Config{
+				Mode:      brisa.ModeTree,
+				OnDeliver: func(brisa.StreamID, uint32, []byte) { counts[i].Add(1) },
+			})
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			defer n.Close()
+			pair[i] = n
+		}
+		if err := pair[1].Join(pair[0].Addr()); err != nil {
+			t.Fatalf("Join: %v", err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); len(pair[0].Neighbors()) == 0; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the source never saw its neighbor")
+			}
+		}
+		sub := pair[0].Subscribe(1)
+		defer sub.Cancel()
+		for k := 0; k < msgs; k++ {
+			pair[0].Publish(1, []byte{byte(k)})
+		}
+
+		expectSeqs(t, sub, msgs)
+		for deadline := time.Now().Add(10 * time.Second); pair[1].DeliveredCount(1) < msgs; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the receiver delivered %d of %d", pair[1].DeliveredCount(1), msgs)
+			}
+		}
+		if got := counts[0].Load(); got != 0 {
+			t.Errorf("the source's OnDeliver fired %d times for its own publishes", got)
+		}
+		if got, want := counts[1].Load(), pair[1].DeliveredCount(1); got != int64(want) {
+			t.Errorf("the receiver's OnDeliver fired %d times, DeliveredCount %d", got, want)
+		}
+	})
+}
+
+// expectSeqs reads sequences 1..msgs, in order, from a subscription.
+func expectSeqs(t *testing.T, sub *brisa.Subscription, msgs uint32) {
+	t.Helper()
+	for want := uint32(1); want <= msgs; want++ {
+		select {
+		case m := <-sub.C():
+			if m.Seq != want {
+				t.Fatalf("subscription got seq %d, want %d", m.Seq, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("subscription timed out waiting for seq %d", want)
 		}
 	}
 }

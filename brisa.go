@@ -14,8 +14,10 @@
 //
 // Delivered payloads are consumed per stream through Peer.Subscribe, which
 // works identically on both runtimes (SubscribeOpts bounds the queue for
-// slow consumers); the lower-level Config.OnDeliver callback remains
-// available for instrumentation.
+// slow consumers). For instrumentation, the Config.OnDeliver and
+// Config.OnEvent callbacks run on the peer's actor ahead of every
+// subscription; OnDeliver sees receptions only, never the peer's own
+// publishes.
 //
 // Whole experiments are declared as Scenario values — a Topology, one or
 // more Workloads (multi-stream, multi-source), optional Churn, and Probes —
@@ -142,7 +144,7 @@ type Config struct {
 	// (plain epidemic flooding, no structure emergence); set ModeTree or
 	// ModeDAG for the paper's main configurations, or one of the baseline
 	// modes to run a comparison system in BRISA's place (simulator only;
-	// Parents, Strategy, HyParView and OnDeliver must stay unset).
+	// Parents, Strategy and HyParView must stay unset).
 	Mode Mode
 	// Parents is the DAG parent target (default 2 in ModeDAG).
 	Parents int
@@ -157,9 +159,13 @@ type Config struct {
 	// HyParView, when non-nil, overrides the derived PSS configuration
 	// entirely (ViewSize/ExpansionFactor are then ignored).
 	HyParView *hyparview.Config
-	// OnDeliver receives every delivered payload.
+	// OnDeliver receives every message the peer receives from another
+	// node; the peer's own publishes are not receptions and never reach
+	// it. It runs on the peer's actor, first among the delivery listeners
+	// (before the scenario collector and every Subscription).
 	OnDeliver func(stream StreamID, seq uint32, payload []byte)
-	// OnEvent receives structural events (evaluation instrumentation).
+	// OnEvent receives structural events (evaluation instrumentation) on
+	// the peer's actor, first among the event listeners.
 	OnEvent func(ev Event)
 	// DisablePiggyback turns off the keep-alive piggyback channel used by
 	// informed soft repair (for ablations).
@@ -183,8 +189,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("brisa: Mode %v selects no parents, got Strategy %T", c.Mode, c.Strategy)
 	case c.HyParView != nil:
 		return fmt.Errorf("brisa: Mode %v runs no HyParView, got a HyParView override", c.Mode)
-	case c.OnDeliver != nil:
-		return fmt.Errorf("brisa: Mode %v has no OnDeliver hook (use Peer.Subscribe)", c.Mode)
 	}
 	if c.Parents < 0 {
 		return fmt.Errorf("brisa: Parents must not be negative, got %d", c.Parents)
@@ -237,8 +241,8 @@ type stack interface {
 	Publish(stream StreamID, payload []byte) uint32
 	// Now is the node's own clock, valid inside its actor callbacks.
 	Now() time.Time
-	SubscribeFn(stream StreamID, fn func(seq uint32, payload []byte)) (cancel func())
-	SubscribeEvents(fn func(Event)) (cancel func())
+	Deliveries() *node.Listeners[core.Delivery]
+	Events() *node.Listeners[Event]
 	DeliveredCount(stream StreamID) uint64
 	Parents(stream StreamID) []NodeID
 	IsOrphan(stream StreamID) bool
@@ -257,15 +261,16 @@ func (s brisaStack) Join(contact NodeID) { s.pss.Join(contact) }
 // Peer is one assembled protocol stack on a single actor: HyParView + BRISA,
 // or in a baseline mode that system's own layers. What only BRISA has —
 // neighbors, children, depth, RTT, PSS counters, blobs — reads as empty on a
-// baseline peer, and its subscriptions attach and cancel only while the
-// simulation stands still (kit.Base keeps its listeners unlocked).
+// baseline peer.
 type Peer struct {
 	id    NodeID
 	sys   stack
 	pss   *hyparview.Protocol // nil in the baseline modes
 	brisa *core.Protocol      // nil in the baseline modes
 	mux   *node.Mux
-	subs  subscriptionSet
+	// closers cancels the peer's live subscriptions when the runtime that
+	// owns the peer shuts down (Node.Close).
+	closers node.Listeners[struct{}]
 }
 
 // NewPeer assembles a peer, or reports why the configuration is invalid.
@@ -301,10 +306,7 @@ func newPeer(id NodeID, cfg Config, nodes int) (*Peer, error) {
 		case ModeTAG:
 			sys = tag.New(id, tag.Config{Source: baselineRoot, MaxChildren: cfg.ViewSize})
 		}
-		if cfg.OnEvent != nil {
-			sys.SubscribeEvents(cfg.OnEvent)
-		}
-		return &Peer{id: id, sys: sys, mux: sys.Handler()}, nil
+		return (&Peer{id: id, sys: sys, mux: sys.Handler()}).hook(cfg), nil
 	}
 
 	hvCfg := hyparview.DefaultConfig()
@@ -339,14 +341,28 @@ func newPeer(id NodeID, cfg Config, nodes int) (*Peer, error) {
 		Strategy:              cfg.Strategy,
 		SymmetricDeactivation: symmetric,
 		PSS:                   pss,
-		OnDeliver:             cfg.OnDeliver,
-		OnEvent:               cfg.OnEvent,
 	})
 
 	mux := node.NewMux()
 	mux.Register(pss, hyparview.Kinds()...)
 	mux.Register(bp, core.Kinds()...)
-	return &Peer{id: id, sys: brisaStack{bp, pss}, pss: pss, brisa: bp, mux: mux}, nil
+	return (&Peer{id: id, sys: brisaStack{bp, pss}, pss: pss, brisa: bp, mux: mux}).hook(cfg), nil
+}
+
+// hook registers the configuration's callbacks ahead of every other
+// listener: OnEvent for every event, OnDeliver for every reception.
+func (p *Peer) hook(cfg Config) *Peer {
+	if cfg.OnEvent != nil {
+		p.sys.Events().Add(cfg.OnEvent)
+	}
+	if fn := cfg.OnDeliver; fn != nil {
+		p.sys.Deliveries().Add(func(d core.Delivery) {
+			if d.From != ids.Nil {
+				fn(d.Stream, d.Seq, d.Payload)
+			}
+		})
+	}
+	return p
 }
 
 // ID returns the peer's identifier.

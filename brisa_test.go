@@ -258,7 +258,7 @@ func TestDelayAwareReducesRoutingDelay(t *testing.T) {
 			NodeBandwidth:   250_000, // ~2 Mbps uplinks
 			ProcessingDelay: simnet.LogNormalDelay(15*time.Millisecond, 1.0),
 			Peer:            brisa.Config{Mode: brisa.ModeTree, ViewSize: 4, Strategy: strategy},
-			PeerConfig: func(id brisa.NodeID) brisa.Config {
+			PeerConfigAt: func(int) brisa.Config {
 				return brisa.Config{
 					Mode: brisa.ModeTree, ViewSize: 4, Strategy: strategy,
 					OnDeliver: func(_ brisa.StreamID, seq uint32, _ []byte) {

@@ -6,26 +6,21 @@ import (
 	"time"
 
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // ClusterConfig describes a simulated deployment.
 type ClusterConfig struct {
 	// Nodes is the network size.
 	Nodes int
-	// Peer configures every peer (OnDeliver/OnEvent are shared; wrap them
-	// if per-peer state is needed — callbacks receive no peer argument by
-	// design, use PeerConfig instead for that).
+	// Peer configures every peer. Its OnDeliver and OnEvent callbacks are
+	// shared by all peers and receive no peer argument: for per-peer
+	// callbacks, derive each peer's Config with PeerConfigAt instead.
 	Peer Config
-	// PeerConfig, when set, derives a per-peer configuration from the
-	// peer's identifier (overrides Peer). Simulator-specific: ids are
-	// known up front here. Scenario code should prefer the id-independent
-	// PeerConfigAt, which Topology.PeerConfig lowers onto.
-	PeerConfig func(id NodeID) Config
 	// PeerConfigAt, when set, derives a per-peer configuration from the
 	// peer's 0-based creation index, churned-in peers continuing the count
-	// (overrides Peer and PeerConfig) — the derivation shared with the
-	// live runtime, where identifiers are unknown before the sockets bind.
+	// (overrides Peer) — the derivation shared with the live runtime, where
+	// identifiers are unknown before the sockets bind. On the simulator the
+	// peer with index i has identifier NodeID(i+1).
 	PeerConfigAt func(i int) Config
 	// Seed drives all simulation randomness (default 1).
 	Seed int64
@@ -122,7 +117,7 @@ func (cfg ClusterConfig) Validate() error {
 			return fmt.Errorf("brisa: ClusterConfig: %w", err)
 		}
 	}
-	if cfg.PeerConfig == nil && cfg.PeerConfigAt == nil {
+	if cfg.PeerConfigAt == nil {
 		if err := cfg.Peer.Validate(); err != nil {
 			return err
 		}
@@ -186,23 +181,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// peerConfig resolves the configuration of the peer with creation index i
-// and identifier id.
-func (c *Cluster) peerConfig(i int, id NodeID) Config {
-	if c.cfg.PeerConfigAt != nil {
-		return c.cfg.PeerConfigAt(i)
-	}
-	if c.cfg.PeerConfig != nil {
-		return c.cfg.PeerConfig(id)
-	}
-	return c.cfg.Peer
-}
-
 func (c *Cluster) addPeer() (*Peer, error) {
-	idx := len(c.order)
 	c.next++
 	id := NodeID(c.next)
-	pcfg := c.peerConfig(idx, id)
+	pcfg := c.cfg.Peer
+	if c.cfg.PeerConfigAt != nil {
+		pcfg = c.cfg.PeerConfigAt(len(c.order))
+	}
 	p, err := newPeer(id, pcfg, c.cfg.Nodes)
 	if err != nil {
 		c.next--
@@ -262,7 +247,7 @@ func (c *Cluster) Peer(id NodeID) *Peer { return c.peers[id] }
 
 // JoinNew adds a brand-new peer and joins it via a random alive member (the
 // churn "join" primitive). It returns the new peer. The only error source is
-// an invalid PeerConfig-derived configuration.
+// an invalid PeerConfigAt-derived configuration.
 func (c *Cluster) JoinNew() (*Peer, error) {
 	p, err := c.addPeer()
 	if err != nil {
@@ -339,29 +324,6 @@ func (c *Cluster) CrashRandom(exclude ...NodeID) NodeID {
 	victim := candidates[c.Net.Rand().Intn(len(candidates))]
 	c.Net.Crash(victim)
 	return victim
-}
-
-// RunChurnScript schedules a churn trace in the paper's Listing 1 syntax
-// (Splay's churn language) against the cluster, with offsets relative to the
-// current virtual time:
-//
-//	from 0s to 300s const churn 3% each 60s
-//	at 1000s set replacement ratio to 100%
-//
-// Nodes in protect (e.g. the stream source) are never chosen as failure
-// victims. The directives are only scheduled; advance the simulation
-// (Net.RunFor) to replay them. A replay-time join panics if PeerConfig
-// derives an invalid configuration for a churned-in node — that is a bug in
-// the caller's PeerConfig, and silently skipping the join would shrink the
-// population the script specifies.
-func (c *Cluster) RunChurnScript(script string, protect ...NodeID) error {
-	parsed, err := trace.Parse(script)
-	if err != nil {
-		return err
-	}
-	// Script offsets count from the current virtual time.
-	parsed.Replay(offsetScheduler{c.Net, c.Net.Since()}, &churnTarget{c: c, protect: protect})
-	return nil
 }
 
 // churnTarget adapts the cluster's churn primitives to the trace replayer.

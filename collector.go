@@ -221,11 +221,12 @@ func (col *collector) register(id NodeID) (accs []*nodeAcc, baccs []*blobAcc, ha
 	return accs, baccs, hard
 }
 
-// instrument attaches the collector to one peer: a delivery listener per
-// workload (when the latency probe is on) and one event listener for
-// duplicates and repair delays. It covers peers added mid-run by churn.
-// Delivery timestamps come from the peer's own clock (virtual and
-// shard-local on the simulator, wall on the live runtime).
+// instrument attaches the collector to one peer: a blob listener per blob
+// workload, a delivery listener per workload (when the latency probe is on)
+// and one event listener for duplicates and repair delays. It covers peers
+// added mid-run by churn. Delivery timestamps come from the peer's own
+// clock (virtual and shard-local on the simulator, wall on the live
+// runtime).
 func (col *collector) instrument(p *Peer) {
 	id := p.ID()
 	now := p.sys.Now
@@ -236,17 +237,21 @@ func (col *collector) instrument(p *Peer) {
 	// content-hash verification behind Reliability needs them regardless of
 	// probes, and blobs are few.
 	for wi := range col.bws {
-		acc := baccs[wi]
-		cancel := p.brisa.SubscribeBlobFn(col.bws[wi].w.Stream, func(d core.BlobDelivery) {
-			acc.recs[d.ID] = newBlobRec(blobHash(d.Data), len(d.Data), d.At.Sub(d.FirstChunkAt))
+		acc, stream := baccs[wi], col.bws[wi].w.Stream
+		cancel := p.brisa.Blobs().Add(func(d core.BlobDelivery) {
+			if d.Stream == stream {
+				acc.recs[d.ID] = newBlobRec(blobHash(d.Data), len(d.Data), d.At.Sub(d.FirstChunkAt))
+			}
 		})
 		col.addCancel(cancel)
 	}
 	if col.sc.probed(ProbeLatency) {
 		for wi := range col.ws {
-			wi, acc := wi, accs[wi]
-			cancel := p.sys.SubscribeFn(col.ws[wi].w.Stream, func(seq uint32, _ []byte) {
-				col.delivered(wi, acc, id, seq, now())
+			acc, stream := accs[wi], col.ws[wi].w.Stream
+			cancel := p.sys.Deliveries().Add(func(d core.Delivery) {
+				if d.Stream == stream {
+					col.delivered(wi, acc, id, d.Seq, now())
+				}
 			})
 			col.addCancel(cancel)
 		}
@@ -254,7 +259,7 @@ func (col *collector) instrument(p *Peer) {
 	if !wantDups && !wantRepairs {
 		return
 	}
-	cancel := p.sys.SubscribeEvents(func(ev Event) {
+	cancel := p.sys.Events().Add(func(ev Event) {
 		switch {
 		case wantDups && ev.Type == EvDuplicate:
 			for wi := range col.ws {

@@ -70,7 +70,7 @@ var scanCycleSeeds = flag.Int("scan-cycle-seeds", 0, "scan seeds 1..N for a soft
 func softRepairCycleRun(t *testing.T, seed int64) (longest []brisa.NodeID, stalled, alive int) {
 	c := newTestCluster(t, brisa.ClusterConfig{
 		Nodes: 64, Seed: seed,
-		PeerConfig: func(id brisa.NodeID) brisa.Config {
+		PeerConfigAt: func(int) brisa.Config {
 			return brisa.Config{
 				Mode: brisa.ModeTree, ViewSize: 4,
 				// The piggyback stall detector papers over the cycle in the

@@ -362,8 +362,11 @@ func (w *distWorker) instrument() {
 	p := w.node.peer.brisa
 	if w.spec.probed(ProbeLatency) {
 		for wi, wl := range w.spec.Workloads {
-			p.SubscribeFn(wl.Stream, func(seq uint32, _ []byte) {
-				s := distSample{Seq: seq, At: time.Now().UnixNano()}
+			p.Deliveries().Add(func(d core.Delivery) {
+				if d.Stream != wl.Stream {
+					return
+				}
+				s := distSample{Seq: d.Seq, At: time.Now().UnixNano()}
 				w.mu.Lock()
 				w.buf.Samples[wi] = append(w.buf.Samples[wi], s)
 				w.mu.Unlock()
@@ -371,7 +374,10 @@ func (w *distWorker) instrument() {
 		}
 	}
 	for wi, wl := range w.spec.BlobWorkloads {
-		p.SubscribeBlobFn(wl.Stream, func(d core.BlobDelivery) {
+		p.Blobs().Add(func(d core.BlobDelivery) {
+			if d.Stream != wl.Stream {
+				return
+			}
 			done := distBlobDone{WI: wi, ID: d.ID, Hash: blobHash(d.Data), Size: len(d.Data), Lat: d.At.Sub(d.FirstChunkAt)}
 			w.mu.Lock()
 			w.buf.Blobs = append(w.buf.Blobs, done)
@@ -381,7 +387,7 @@ func (w *distWorker) instrument() {
 	if !wantDups && !wantRepairs {
 		return
 	}
-	p.SubscribeEvents(func(ev Event) {
+	p.Events().Add(func(ev Event) {
 		switch {
 		case wantDups && ev.Type == EvDuplicate:
 			for wi, wl := range w.spec.Workloads {

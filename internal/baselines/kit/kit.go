@@ -106,23 +106,9 @@ type queued struct {
 	m  wire.Message
 }
 
-type deliverySub struct {
-	tok    uint64
-	stream wire.StreamID
-	fn     func(seq uint32, payload []byte)
-}
-
-type eventSub struct {
-	tok uint64
-	fn  func(core.Event)
-}
-
 // Base is the part of a baseline peer the three protocols share; each embeds
-// it. Everything runs on the node's actor. The listener registry is not
-// locked the way core's is: the baselines run on the simulator only, where
-// listeners attach and cancel in driver context — before a run, between
-// runs, or at a barrier event — which the scheduler orders against every
-// actor callback.
+// it. Everything runs on the node's actor except registration with the
+// listener registries, which is safe from any goroutine.
 type Base struct {
 	node.BaseProto
 	// Env is the node's runtime; the embedding protocol's Start sets it.
@@ -133,11 +119,10 @@ type Base struct {
 	// read a baseline like any other system.
 	M core.Metrics
 
-	streams []*Stream // ascending by ID
-	outbox  []queued
-	subs    []deliverySub
-	evSubs  []eventSub
-	nextTok uint64
+	streams    []*Stream // ascending by ID
+	outbox     []queued
+	deliveries node.Listeners[core.Delivery]
+	events     node.Listeners[core.Event]
 }
 
 // Now returns the node's own clock.
@@ -185,7 +170,7 @@ func (b *Base) Originate(s *Stream, payload []byte) uint32 {
 }
 
 // Deliver records a reception. A first reception is counted, hands the
-// payload to the stream's listeners and reports true; a repeat is counted,
+// payload to the delivery listeners and reports true; a repeat is counted,
 // emitted as EvDuplicate and reports false.
 func (b *Base) Deliver(s *Stream, from ids.NodeID, seq uint32, payload []byte) bool {
 	if s.Delivered(seq) {
@@ -195,48 +180,25 @@ func (b *Base) Deliver(s *Stream, from ids.NodeID, seq uint32, payload []byte) b
 	}
 	s.mark(seq, payload)
 	b.M.Delivered++
-	for _, sub := range b.subs {
-		if sub.stream == s.ID {
-			sub.fn(seq, payload)
-		}
-	}
+	b.deliveries.Emit(core.Delivery{Stream: s.ID, Seq: seq, From: from, Payload: payload})
 	return true
 }
 
 // Emit stamps an event with the node's clock and hands it to the listeners.
 func (b *Base) Emit(ev core.Event) {
-	if len(b.evSubs) == 0 {
+	if b.events.Empty() {
 		return
 	}
 	ev.At = b.Env.Now()
-	for _, sub := range b.evSubs {
-		sub.fn(ev)
-	}
+	b.events.Emit(ev)
 }
 
-// SubscribeFn registers a listener for every delivery of the stream, local
-// publishes included, and returns its cancel function.
-func (b *Base) SubscribeFn(stream wire.StreamID, fn func(seq uint32, payload []byte)) (cancel func()) {
-	tok := b.nextTok
-	b.nextTok++
-	// Listener slices are replaced, never edited: a cancel from inside a
-	// callback must not disturb the fan-out it runs in.
-	b.subs = append(slices.Clip(b.subs), deliverySub{tok, stream, fn})
-	return func() {
-		b.subs = slices.DeleteFunc(slices.Clone(b.subs), func(s deliverySub) bool { return s.tok == tok })
-	}
-}
+// Deliveries is the registry of delivery listeners: every first reception
+// of every stream, local publishes included (From is ids.Nil for those).
+func (b *Base) Deliveries() *node.Listeners[core.Delivery] { return &b.deliveries }
 
-// SubscribeEvents registers an event listener and returns its cancel
-// function.
-func (b *Base) SubscribeEvents(fn func(core.Event)) (cancel func()) {
-	tok := b.nextTok
-	b.nextTok++
-	b.evSubs = append(slices.Clip(b.evSubs), eventSub{tok, fn})
-	return func() {
-		b.evSubs = slices.DeleteFunc(slices.Clone(b.evSubs), func(s eventSub) bool { return s.tok == tok })
-	}
-}
+// Events is the registry of event listeners.
+func (b *Base) Events() *node.Listeners[core.Event] { return &b.events }
 
 // ParentList is a single-parent tree's answer to the harness's per-stream
 // parent question: the parent, or nothing while there is none.

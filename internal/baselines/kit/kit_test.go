@@ -1,6 +1,7 @@
 package kit
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -120,14 +121,18 @@ func TestStreamsStayAscending(t *testing.T) {
 func TestOriginateNumbersFromOne(t *testing.T) {
 	b := &Base{Env: &fakeEnv{}}
 	var seen []uint32
-	b.SubscribeFn(2, func(seq uint32, _ []byte) { seen = append(seen, seq) })
+	b.Deliveries().Add(func(d core.Delivery) {
+		if d.Stream == 2 && d.From == ids.Nil {
+			seen = append(seen, d.Seq)
+		}
+	})
 	for want := uint32(1); want <= 3; want++ {
 		if got := b.Originate(b.Stream(2), nil); got != want {
 			t.Fatalf("Originate = %d, want %d", got, want)
 		}
 	}
 	if !slices.Equal(seen, []uint32{1, 2, 3}) {
-		t.Fatalf("local publishes reached the listener as %v", seen)
+		t.Fatalf("local publishes reached the listener as %v, want seqs 1..3 from nobody", seen)
 	}
 }
 
@@ -135,35 +140,31 @@ func TestListeners(t *testing.T) {
 	env := &fakeEnv{now: time.Unix(100, 0)}
 	b := &Base{Env: env}
 	var log []string
-	cancelA := b.SubscribeFn(1, func(seq uint32, _ []byte) { log = append(log, "a") })
-	b.SubscribeFn(2, func(uint32, []byte) { log = append(log, "other stream") })
-	var cancelB func()
-	cancelB = b.SubscribeFn(1, func(uint32, []byte) {
-		log = append(log, "b")
-		cancelB() // from inside the fan-out
+	cancelDel := b.Deliveries().Add(func(d core.Delivery) {
+		log = append(log, fmt.Sprintf("%d/%d from %v: %s", d.Stream, d.Seq, d.From, d.Payload))
 	})
-	b.SubscribeFn(1, func(uint32, []byte) { log = append(log, "c") })
 	var evs []core.Event
-	cancelEv := b.SubscribeEvents(func(ev core.Event) { evs = append(evs, ev) })
+	cancelEv := b.Events().Add(func(ev core.Event) { evs = append(evs, ev) })
 
 	st := b.Stream(1)
-	b.Deliver(st, 9, 1, nil)
-	b.Deliver(st, 9, 2, nil)
-	b.Deliver(st, 9, 2, nil) // duplicate
-	if want := []string{"a", "b", "c", "a", "c"}; !slices.Equal(log, want) {
-		t.Fatalf("fan-out order %v, want %v", log, want)
+	b.Deliver(st, 9, 1, []byte("a"))
+	b.Deliver(b.Stream(2), 8, 1, []byte("b"))
+	b.Deliver(st, 9, 2, []byte("c"))
+	b.Deliver(st, 9, 2, []byte("c")) // duplicate
+	want := []string{"1/1 from 0.0.0.0:9: a", "2/1 from 0.0.0.0:8: b", "1/2 from 0.0.0.0:9: c"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("deliveries %q, want %q", log, want)
 	}
 	if len(evs) != 1 || evs[0].Type != core.EvDuplicate || evs[0].Stream != 1 || evs[0].Seq != 2 ||
 		evs[0].Peer != 9 || !evs[0].At.Equal(env.now) {
 		t.Fatalf("events %+v, want one EvDuplicate of stream 1 seq 2 from 9 at the node's clock", evs)
 	}
-	cancelA()
-	cancelA() // idempotent
+	cancelDel()
 	cancelEv()
 	b.Deliver(st, 9, 3, nil)
 	b.Deliver(st, 9, 3, nil)
-	if want := []string{"a", "b", "c", "a", "c", "c"}; !slices.Equal(log, want) || len(evs) != 1 {
-		t.Fatalf("after cancel: fan-out %v, %d events", log, len(evs))
+	if len(log) != 3 || len(evs) != 1 {
+		t.Fatalf("after cancel: %d deliveries, %d events", len(log), len(evs))
 	}
 }
 

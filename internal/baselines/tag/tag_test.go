@@ -129,7 +129,7 @@ func TestParentRecoverySoft(t *testing.T) {
 	var repairs, hard atomic.Int64 // listeners run on scheduler shard goroutines
 	f := build(48, 6, Config{})
 	for _, p := range f.peers {
-		p.SubscribeEvents(func(ev core.Event) {
+		p.Events().Add(func(ev core.Event) {
 			if ev.Type != core.EvRepaired {
 				return
 			}

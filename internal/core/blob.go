@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/ids"
+	"repro/internal/node"
 	"repro/internal/wire"
 )
 
@@ -98,17 +99,24 @@ func (p *Protocol) BlobsDelivered(id wire.StreamID) uint64 {
 	return 0
 }
 
-// BlobDelivery is one completed blob handed to blob subscribers.
+// BlobDelivery is one completed blob handed to blob listeners.
 type BlobDelivery struct {
+	// Stream is the stream the blob belongs to.
+	Stream wire.StreamID
 	// ID is the source-assigned per-stream blob id (monotone from 1).
 	ID uint32
-	// Data is the reconstructed payload. Subscribers must not modify it.
+	// Data is the reconstructed payload. Listeners must not modify it.
 	Data []byte
 	// FirstChunkAt is when the first chunk arrived (publish time at the
 	// source); At is when reconstruction completed. At−FirstChunkAt is the
 	// node's blob transfer time.
 	FirstChunkAt, At time.Time
 }
+
+// Blobs is the registry of blob listeners: they receive every blob the node
+// completes, on every stream, local publishes included, in completion order
+// on the actor. Registration is safe from any goroutine.
+func (p *Protocol) Blobs() *node.Listeners[BlobDelivery] { return &p.blobs }
 
 // ---------------------------------------------------------------- publish
 
@@ -155,7 +163,7 @@ func (p *Protocol) PublishBlob(id wire.StreamID, data []byte, prm blob.Params) (
 	b.completedAt = now
 	st.blobsDelivered++
 	st.blobStats.Published++
-	p.blobFanout(id, BlobDelivery{ID: bid, Data: data, FirstChunkAt: now, At: now})
+	p.blobs.Emit(BlobDelivery{Stream: id, ID: bid, Data: data, FirstChunkAt: now, At: now})
 	for i := 0; i < k; i++ {
 		p.relayChunk(st, ids.Nil, b, i, blob.ChunkAt(data, prm.ChunkSize, k, i))
 	}
@@ -342,7 +350,7 @@ func (p *Protocol) completeBlob(st *stream, b *blobState) {
 	st.blobStats.Delivered++
 	p.metrics.BlobsDelivered++
 	p.emit(Event{Type: EvBlobDeliver, Stream: st.id, Seq: b.id, Dur: now.Sub(b.firstAt)})
-	p.blobFanout(st.id, BlobDelivery{ID: b.id, Data: data, FirstChunkAt: b.firstAt, At: now})
+	p.blobs.Emit(BlobDelivery{Stream: st.id, ID: b.id, Data: data, FirstChunkAt: b.firstAt, At: now})
 	p.sendHave(st, b)
 }
 
@@ -461,75 +469,5 @@ func (p *Protocol) onBlobWant(from ids.NodeID, m wire.BlobWant) {
 		p.env.Send(from, msg)
 		st.blobStats.ChunksServed++
 		st.blobStats.ChunkBytesSent += uint64(msg.WireSize())
-	}
-}
-
-// ---------------------------------------------------------------- fan-out
-
-// SubscribeBlobFn registers a per-stream blob-delivery listener and returns
-// its cancel function. Listeners receive every blob the node completes —
-// local publishes included — in completion order. Safe to call from any
-// goroutine; cancel is idempotent. (Mirrors SubscribeFn for seq messages.)
-func (p *Protocol) SubscribeBlobFn(stream wire.StreamID, fn func(BlobDelivery)) (cancel func()) {
-	p.subMu.Lock()
-	if p.blobSubs == nil {
-		p.blobSubs = make(map[wire.StreamID]map[uint64]func(BlobDelivery))
-	}
-	m, ok := p.blobSubs[stream]
-	if !ok {
-		m = make(map[uint64]func(BlobDelivery))
-		p.blobSubs[stream] = m
-	}
-	tok := p.nextSub
-	p.nextSub++
-	m[tok] = fn
-	p.refreshBlobSnap()
-	p.subMu.Unlock()
-	return func() {
-		p.subMu.Lock()
-		if m, ok := p.blobSubs[stream]; ok {
-			delete(m, tok)
-			if len(m) == 0 {
-				delete(p.blobSubs, stream)
-			}
-		}
-		p.refreshBlobSnap()
-		p.subMu.Unlock()
-	}
-}
-
-// refreshBlobSnap rebuilds the lock-free blob subscriber snapshot; call with
-// subMu held. Listeners are ordered by registration token so fan-out order
-// is deterministic.
-func (p *Protocol) refreshBlobSnap() {
-	if len(p.blobSubs) == 0 {
-		p.blobSnap.Store(nil)
-		return
-	}
-	snap := make(map[wire.StreamID][]func(BlobDelivery), len(p.blobSubs))
-	//brisa:orderinvariant each iteration writes a distinct key of the fresh snapshot map; per-stream listener order is sorted by token below
-	for stream, m := range p.blobSubs {
-		toks := make([]uint64, 0, len(m))
-		for tok := range m {
-			toks = append(toks, tok)
-		}
-		slices.Sort(toks)
-		fns := make([]func(BlobDelivery), 0, len(m))
-		for _, tok := range toks {
-			fns = append(fns, m[tok])
-		}
-		snap[stream] = fns
-	}
-	p.blobSnap.Store(&snap)
-}
-
-// blobFanout hands one completed blob to the stream's blob subscribers.
-func (p *Protocol) blobFanout(stream wire.StreamID, d BlobDelivery) {
-	snap := p.blobSnap.Load()
-	if snap == nil {
-		return
-	}
-	for _, fn := range (*snap)[stream] {
-		fn(d)
 	}
 }

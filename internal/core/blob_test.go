@@ -117,7 +117,7 @@ func TestBlobPushEndToEnd(t *testing.T) {
 	var got [][]byte
 	for id := ids.NodeID(2); id <= 4; id++ {
 		p := net.procs[id]
-		p.SubscribeBlobFn(7, func(d BlobDelivery) { got = append(got, d.Data) })
+		p.Blobs().Add(func(d BlobDelivery) { got = append(got, d.Data) })
 	}
 	bid, err := net.procs[1].PublishBlob(7, data, blob.Params{ChunkSize: 256, Total: 14})
 	if err != nil {

@@ -89,12 +89,6 @@ type Config struct {
 	// paper). Core only reads views and RTTs; membership callbacks arrive
 	// via NeighborUp/NeighborDown.
 	PSS PSS
-
-	// OnDeliver, when set, receives every newly delivered payload.
-	OnDeliver func(stream wire.StreamID, seq uint32, payload []byte)
-	// OnEvent, when set, receives structural protocol events (for the
-	// evaluation harness).
-	OnEvent func(ev Event)
 }
 
 // Protocol constants. No deployment, benchmark or experiment ever ran with
@@ -161,7 +155,7 @@ func (c Config) withDefaults() Config {
 // EventType classifies protocol events.
 type EventType int
 
-// Event types emitted through Config.OnEvent.
+// Event types emitted through Protocol.Events.
 const (
 	// EvDeliver: a new message was delivered (Seq set).
 	EvDeliver EventType = iota

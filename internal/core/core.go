@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ids"
@@ -25,25 +23,11 @@ type Protocol struct {
 	startedAt time.Time
 	stopped   bool
 
-	// Per-stream delivery subscribers. Unlike the rest of the protocol
-	// state this registry is mutex-guarded: SubscribeFn and its cancel run
-	// on arbitrary goroutines on the live runtime, while fan-out runs on
-	// the actor.
-	subMu   sync.Mutex
-	subs    map[wire.StreamID]map[uint64]func(seq uint32, payload []byte)
-	evSubs  map[uint64]func(Event)
-	nextSub uint64
-	// evSnap is the copy-on-write listener snapshot emit reads lock-free:
-	// emit runs on the hot path (every delivery and duplicate), so it must
-	// stay a pointer load when nobody listens.
-	evSnap atomic.Pointer[[]func(Event)]
-	// subsSnap is the same copy-on-write treatment for per-stream delivery
-	// subscribers: fanout runs on every delivery, so it must be a pointer
-	// load plus a map lookup, not a mutex and a fresh slice.
-	subsSnap atomic.Pointer[map[wire.StreamID][]func(seq uint32, payload []byte)]
-	// blobSubs/blobSnap are the blob-delivery counterpart (see blob.go).
-	blobSubs map[wire.StreamID]map[uint64]func(BlobDelivery)
-	blobSnap atomic.Pointer[map[wire.StreamID][]func(BlobDelivery)]
+	// Where deliveries, events and completed blobs leave the actor: the only
+	// protocol state other goroutines touch (they attach and cancel).
+	deliveries node.Listeners[Delivery]
+	events     node.Listeners[Event]
+	blobs      node.Listeners[BlobDelivery]
 
 	// Reused keep-alive piggyback buffers (see piggyback.go): pbOut builds
 	// outgoing entries over the parent lists in pbParents, pbEntries/pbIDs
@@ -221,136 +205,31 @@ func (p *Protocol) ConstructionTime(id wire.StreamID) (time.Duration, bool) {
 }
 
 func (p *Protocol) emit(ev Event) {
-	snap := p.evSnap.Load()
-	if p.cfg.OnEvent == nil && snap == nil {
+	if p.events.Empty() {
 		return
 	}
 	ev.At = p.env.Now()
-	if p.cfg.OnEvent != nil {
-		p.cfg.OnEvent(ev)
-	}
-	if snap != nil {
-		for _, fn := range *snap {
-			fn(ev)
-		}
-	}
+	p.events.Emit(ev)
 }
 
-// SubscribeEvents registers a structural-event listener and returns its
-// cancel function. Unlike Config.OnEvent — fixed at construction — listeners
-// can attach to an already-running protocol, which is how the scenario
-// runner probes clusters it did not configure. Listeners run on the actor
-// goroutine; registration is safe from any goroutine.
-func (p *Protocol) SubscribeEvents(fn func(Event)) (cancel func()) {
-	p.subMu.Lock()
-	if p.evSubs == nil {
-		p.evSubs = make(map[uint64]func(Event))
-	}
-	tok := p.nextSub
-	p.nextSub++
-	p.evSubs[tok] = fn
-	p.refreshEvSnap()
-	p.subMu.Unlock()
-	return func() {
-		p.subMu.Lock()
-		delete(p.evSubs, tok)
-		p.refreshEvSnap()
-		p.subMu.Unlock()
-	}
+// Delivery is one newly delivered message, handed to delivery listeners.
+type Delivery struct {
+	Stream  wire.StreamID
+	Seq     uint32
+	From    ids.NodeID // the sender; ids.Nil for the node's own publish
+	Payload []byte
 }
 
-// refreshEvSnap rebuilds the lock-free listener snapshot; call with subMu
-// held. Listeners are ordered by registration token so emit order is
-// deterministic, like the delivery fan-out snapshots.
-func (p *Protocol) refreshEvSnap() {
-	if len(p.evSubs) == 0 {
-		p.evSnap.Store(nil)
-		return
-	}
-	toks := make([]uint64, 0, len(p.evSubs))
-	for tok := range p.evSubs {
-		toks = append(toks, tok)
-	}
-	slices.Sort(toks)
-	fns := make([]func(Event), 0, len(toks))
-	for _, tok := range toks {
-		fns = append(fns, p.evSubs[tok])
-	}
-	p.evSnap.Store(&fns)
-}
+// Deliveries is the registry of delivery listeners: they receive every
+// message the node delivers, on every stream, local publishes included, in
+// delivery order on the actor. Registration is safe from any goroutine.
+func (p *Protocol) Deliveries() *node.Listeners[Delivery] { return &p.deliveries }
 
-// ---------------------------------------------------------------- fan-out
-
-// SubscribeFn registers a per-stream delivery listener and returns its
-// cancel function. Listeners receive every delivery of the stream — local
-// publishes included — in delivery order, after Config.OnDeliver. Safe to
-// call from any goroutine; cancel is idempotent.
-func (p *Protocol) SubscribeFn(stream wire.StreamID, fn func(seq uint32, payload []byte)) (cancel func()) {
-	p.subMu.Lock()
-	if p.subs == nil {
-		p.subs = make(map[wire.StreamID]map[uint64]func(uint32, []byte))
-	}
-	m, ok := p.subs[stream]
-	if !ok {
-		m = make(map[uint64]func(uint32, []byte))
-		p.subs[stream] = m
-	}
-	tok := p.nextSub
-	p.nextSub++
-	m[tok] = fn
-	p.refreshSubsSnap()
-	p.subMu.Unlock()
-	return func() {
-		p.subMu.Lock()
-		if m, ok := p.subs[stream]; ok {
-			delete(m, tok)
-			if len(m) == 0 {
-				delete(p.subs, stream)
-			}
-		}
-		p.refreshSubsSnap()
-		p.subMu.Unlock()
-	}
-}
-
-// refreshSubsSnap rebuilds the lock-free per-stream subscriber snapshot;
-// call with subMu held. Listeners are ordered by registration token so
-// fan-out order is deterministic.
-func (p *Protocol) refreshSubsSnap() {
-	if len(p.subs) == 0 {
-		p.subsSnap.Store(nil)
-		return
-	}
-	snap := make(map[wire.StreamID][]func(uint32, []byte), len(p.subs))
-	//brisa:orderinvariant each iteration writes a distinct key of the fresh snapshot map; per-stream listener order is sorted by token below
-	for stream, m := range p.subs {
-		toks := make([]uint64, 0, len(m))
-		for tok := range m {
-			toks = append(toks, tok)
-		}
-		slices.Sort(toks)
-		fns := make([]func(uint32, []byte), 0, len(m))
-		for _, tok := range toks {
-			fns = append(fns, m[tok])
-		}
-		snap[stream] = fns
-	}
-	p.subsSnap.Store(&snap)
-}
-
-// fanout hands one delivery to the stream's subscribers. Unlike the
-// OnDeliver instrumentation callback — which fires only for receptions —
-// fan-out also covers local publishes, so a subscription observes the
-// stream's full content regardless of which node sources it.
-func (p *Protocol) fanout(stream wire.StreamID, seq uint32, payload []byte) {
-	snap := p.subsSnap.Load()
-	if snap == nil {
-		return
-	}
-	for _, fn := range (*snap)[stream] {
-		fn(seq, payload)
-	}
-}
+// Events is the registry of structural-event listeners, which run on the
+// actor. Registration is safe from any goroutine, so a listener can attach
+// to an already-running protocol — which is how the scenario runner probes
+// clusters it did not configure.
+func (p *Protocol) Events() *node.Listeners[Event] { return &p.events }
 
 // ---------------------------------------------------------------- publish
 
@@ -372,7 +251,7 @@ func (p *Protocol) Publish(id wire.StreamID, payload []byte) uint32 {
 	st.remember(seq, payload, bufferSize)
 	p.metrics.Delivered++
 	p.emit(Event{Type: EvDeliver, Stream: id, Seq: seq})
-	p.fanout(id, seq, payload)
+	p.deliveries.Emit(Delivery{Stream: id, Seq: seq, Payload: payload})
 	p.relay(st, ids.Nil, seq, payload)
 	return seq
 }
@@ -470,10 +349,7 @@ func (p *Protocol) onData(from ids.NodeID, m wire.Data) {
 		st.lastParentDelivery = now
 	}
 	p.emit(Event{Type: EvDeliver, Stream: st.id, Seq: m.Seq, Peer: from})
-	if p.cfg.OnDeliver != nil {
-		p.cfg.OnDeliver(st.id, m.Seq, m.Payload)
-	}
-	p.fanout(st.id, m.Seq, m.Payload)
+	p.deliveries.Emit(Delivery{Stream: st.id, Seq: m.Seq, From: from, Payload: m.Payload})
 	if !st.orphanedAt.IsZero() {
 		p.emit(Event{
 			Type: EvRepaired, Stream: st.id, Peer: from,

@@ -6,10 +6,15 @@
 // Concurrency model: every node is a single-threaded actor. All Handler
 // methods and all timer callbacks for one node are invoked serially by the
 // runtime, so protocol state needs no locking. Handlers must not block.
+// The one exception is Listeners, the registry through which a node's
+// deliveries and events leave the actor: other goroutines attach to it.
 package node
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ids"
@@ -183,5 +188,62 @@ func (m *Mux) ConnDown(peer ids.NodeID, err error) {
 func (m *Mux) Stop() {
 	for i := len(m.protos) - 1; i >= 0; i-- {
 		m.protos[i].Stop()
+	}
+}
+
+// Listeners is a registry of callbacks of one kind, the one every layer
+// hands deliveries and events through. Add and cancel take a mutex and are
+// safe from any goroutine; Emit takes no lock: it reads one atomic snapshot
+// and calls every listener in registration order. The snapshot is replaced,
+// never edited, so a cancel from inside a callback does not disturb the
+// fan-out it runs in. The zero value is an empty registry.
+type Listeners[T any] struct {
+	mu   sync.Mutex
+	snap atomic.Pointer[[]*func(T)] // nil while empty
+}
+
+// Add registers fn behind every listener already present and returns its
+// cancel function, which is idempotent.
+func (l *Listeners[T]) Add(fn func(T)) (cancel func()) {
+	e := &fn
+	l.mu.Lock()
+	next := append(l.load(), e)
+	l.snap.Store(&next)
+	l.mu.Unlock()
+	return func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		cur := l.load()
+		i := slices.Index(cur, e)
+		if i < 0 {
+			return
+		}
+		if len(cur) == 1 {
+			l.snap.Store(nil)
+			return
+		}
+		next := slices.Delete(slices.Clone(cur), i, i+1)
+		l.snap.Store(&next)
+	}
+}
+
+// load returns the current snapshot, clipped so that an append copies it.
+func (l *Listeners[T]) load() []*func(T) {
+	if s := l.snap.Load(); s != nil {
+		return slices.Clip(*s)
+	}
+	return nil
+}
+
+// Empty reports whether no listener is registered: one atomic load, so an
+// emitter can skip building what nobody reads.
+func (l *Listeners[T]) Empty() bool { return l.snap.Load() == nil }
+
+// Emit calls every listener with v, in registration order.
+func (l *Listeners[T]) Emit(v T) {
+	if s := l.snap.Load(); s != nil {
+		for _, fn := range *s {
+			(*fn)(v)
+		}
 	}
 }

@@ -2,6 +2,10 @@ package node
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ids"
@@ -96,4 +100,90 @@ func TestMuxPanicsOnDuplicateKind(t *testing.T) {
 	mux := NewMux()
 	mux.Register(&recorder{name: "a", log: &log}, wire.KindJoin)
 	mux.Register(&recorder{name: "b", log: &log}, wire.KindJoin)
+}
+
+func TestListenersOrderAndCancel(t *testing.T) {
+	var l Listeners[int]
+	if !l.Empty() {
+		t.Fatal("a zero registry is not empty")
+	}
+	l.Emit(0) // no listener: nothing to call
+	var log []string
+	add := func(name string) func() {
+		return l.Add(func(v int) { log = append(log, fmt.Sprint(name, v)) })
+	}
+	cancelA := add("a")
+	var cancelB func()
+	cancelB = l.Add(func(v int) {
+		log = append(log, fmt.Sprint("b", v))
+		cancelB() // from inside the fan-out
+	})
+	add("c")
+	l.Emit(1)
+	l.Emit(2)
+	if want := []string{"a1", "b1", "c1", "a2", "c2"}; !slices.Equal(log, want) {
+		t.Fatalf("fan-out %v, want %v", log, want)
+	}
+	cancelA()
+	cancelA() // idempotent
+	cancelB() // already cancelled from its own callback
+	add("d")
+	l.Emit(3)
+	if want := []string{"a1", "b1", "c1", "a2", "c2", "c3", "d3"}; !slices.Equal(log, want) {
+		t.Fatalf("after cancels: fan-out %v, want %v", log, want)
+	}
+}
+
+func TestListenersEmptyAfterLastCancel(t *testing.T) {
+	var l Listeners[int]
+	cancel := l.Add(func(int) {})
+	if l.Empty() {
+		t.Fatal("a registry with a listener reads empty")
+	}
+	cancel()
+	if !l.Empty() {
+		t.Fatal("a registry whose listeners all cancelled is not empty")
+	}
+}
+
+// TestListenersConcurrentAddCancel registers and cancels from several
+// goroutines while another emits: the emitter sees only whole snapshots,
+// and a listener that outlives the churn keeps firing. Run it under -race.
+func TestListenersConcurrentAddCancel(t *testing.T) {
+	var l Listeners[int]
+	var kept atomic.Int64
+	l.Add(func(int) { kept.Add(1) })
+	stop := make(chan struct{})
+	emitted := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				emitted <- n
+				return
+			default:
+				l.Emit(n)
+				n++
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				cancel := l.Add(func(int) {})
+				cancel()
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	n := <-emitted
+	if got := kept.Load(); got != int64(n) {
+		t.Fatalf("the surviving listener fired %d times for %d emits", got, n)
+	}
 }

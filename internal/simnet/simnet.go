@@ -129,9 +129,10 @@ type Options struct {
 	// wall-clock choice. Requires a latency model implementing MinDelayer
 	// with a positive minimum (the lookahead); otherwise the engine
 	// silently degrades to 1 worker. When more than one shard runs,
-	// instrumentation callbacks (Logf, Tap, protocol-level
-	// OnDeliver/OnEvent) run on shard goroutines and must be safe for
-	// concurrent use.
+	// instrumentation callbacks (Logf, Tap, and the delivery and event
+	// listeners a node's node.Listeners call) run on shard goroutines and
+	// must be safe for concurrent use. A listener registry itself is: its
+	// Add and cancel may race the shards.
 	Workers int
 	// Faults, when set, enables deterministic fault injection (message
 	// loss/duplication/reorder, partitions, bounded inbound buffers). The

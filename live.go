@@ -221,7 +221,7 @@ func (n *Node) ConnTraffic() map[NodeID]WireTraffic { return n.ln.ConnTraffic() 
 // stalled may be holding the actor inside push, and only cancellation
 // releases it so the runtime can stop. Close is idempotent.
 func (n *Node) Close() error {
-	n.peer.subs.cancelAll()
+	n.peer.closers.Emit(struct{}{})
 	n.ln.Stop()
 	return nil
 }

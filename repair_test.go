@@ -30,8 +30,9 @@ func (l *eventLog) add(id brisa.NodeID, ev brisa.Event) {
 	l.mu.Unlock()
 }
 
-func (l *eventLog) config(mode brisa.Mode, parents, view int) func(brisa.NodeID) brisa.Config {
-	return func(id brisa.NodeID) brisa.Config {
+func (l *eventLog) config(mode brisa.Mode, parents, view int) func(int) brisa.Config {
+	return func(i int) brisa.Config {
+		id := brisa.NodeID(i + 1) // the simulator numbers peers from 1
 		return brisa.Config{
 			Mode: mode, Parents: parents, ViewSize: view,
 			OnEvent: func(ev brisa.Event) { l.add(id, ev) },
@@ -56,7 +57,7 @@ func (l *eventLog) count(t brisa.EventType) int {
 func TestSoftRepairReconnectsChildren(t *testing.T) {
 	log := newEventLog()
 	c := newTestCluster(t, brisa.ClusterConfig{
-		Nodes: 96, Seed: 21, PeerConfig: log.config(brisa.ModeTree, 1, 4),
+		Nodes: 96, Seed: 21, PeerConfigAt: log.config(brisa.ModeTree, 1, 4),
 	})
 	c.Bootstrap()
 	source := c.Peers()[0]
@@ -101,7 +102,8 @@ func TestRepairWithoutPiggybackStillHeals(t *testing.T) {
 	log := newEventLog()
 	c := newTestCluster(t, brisa.ClusterConfig{
 		Nodes: 64, Seed: 22,
-		PeerConfig: func(id brisa.NodeID) brisa.Config {
+		PeerConfigAt: func(i int) brisa.Config {
+			id := brisa.NodeID(i + 1)
 			return brisa.Config{
 				Mode: brisa.ModeTree, ViewSize: 4,
 				DisablePiggyback: true,
@@ -136,7 +138,7 @@ func TestInformedRepairIsMostlySoft(t *testing.T) {
 	// "almost all repairs are soft" should hold.
 	log := newEventLog()
 	c := newTestCluster(t, brisa.ClusterConfig{
-		Nodes: 96, Seed: 23, PeerConfig: log.config(brisa.ModeTree, 1, 4),
+		Nodes: 96, Seed: 23, PeerConfigAt: log.config(brisa.ModeTree, 1, 4),
 	})
 	c.Bootstrap()
 	source := c.Peers()[0]
@@ -163,7 +165,7 @@ func TestRecoveryDelaysAreSmall(t *testing.T) {
 	// milliseconds beyond detection, not seconds.
 	log := newEventLog()
 	c := newTestCluster(t, brisa.ClusterConfig{
-		Nodes: 96, Seed: 24, PeerConfig: log.config(brisa.ModeTree, 1, 4),
+		Nodes: 96, Seed: 24, PeerConfigAt: log.config(brisa.ModeTree, 1, 4),
 	})
 	c.Bootstrap()
 	source := c.Peers()[0]

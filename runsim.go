@@ -36,16 +36,7 @@ func (c *Cluster) adopt(sc Scenario) Scenario {
 	}
 	sc.Topology.Nodes = len(c.order)
 	sc.Topology.Peer = c.cfg.Peer
-	if c.cfg.PeerConfigAt != nil || c.cfg.PeerConfig != nil {
-		// Mirror the cluster's per-peer derivation by creation index so
-		// validation skips the (possibly unused) shared Peer config.
-		sc.Topology.PeerConfig = func(i int) Config {
-			if i < len(c.order) {
-				return c.peerConfig(i, c.order[i])
-			}
-			return c.cfg.Peer
-		}
-	}
+	sc.Topology.PeerConfig = c.cfg.PeerConfigAt
 	return sc
 }
 

@@ -208,9 +208,6 @@ func TestScenarioValidateErrors(t *testing.T) {
 			hv := hyparview.DefaultConfig()
 			sc.Topology.Peer = brisa.Config{Mode: brisa.ModeSimpleGossip, HyParView: &hv}
 		}},
-		{"baseline with OnDeliver", func(sc *brisa.Scenario) {
-			sc.Topology.Peer = brisa.Config{Mode: brisa.ModeTAG, OnDeliver: func(brisa.StreamID, uint32, []byte) {}}
-		}},
 		{"SimpleTree sourced off its root", func(sc *brisa.Scenario) {
 			sc.Topology.Peer.Mode = brisa.ModeSimpleTree
 			sc.Workloads[0].Source = 3
@@ -233,11 +230,11 @@ func TestScenarioValidateErrors(t *testing.T) {
 		}
 	}
 
-	// What a baseline can run validates: every mode at its root, and
-	// SimpleGossip — which has none — from any node.
+	// What a baseline can run validates: every mode at its root, with an
+	// OnDeliver hook, and SimpleGossip — which has none — from any node.
 	for _, mode := range []brisa.Mode{brisa.ModeSimpleTree, brisa.ModeSimpleGossip, brisa.ModeTAG} {
 		sc := ok
-		sc.Topology.Peer = brisa.Config{Mode: mode, ViewSize: 4}
+		sc.Topology.Peer = brisa.Config{Mode: mode, ViewSize: 4, OnDeliver: func(brisa.StreamID, uint32, []byte) {}}
 		if err := sc.Validate(); err != nil {
 			t.Errorf("%v: %v", mode, err)
 		}

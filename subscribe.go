@@ -51,19 +51,7 @@ type SubOptions struct {
 // the peer cancels its subscriptions too.
 type Subscription struct {
 	stream StreamID
-	out    chan Message
-
-	mu      sync.Mutex
-	queue   []Message
-	limit   int
-	policy  OverflowPolicy
-	dropped uint64
-	space   *sync.Cond // non-nil for Block policy: queue below limit
-
-	wake  chan struct{} // 1-buffered doorbell: queue went non-empty
-	done  chan struct{}
-	once  sync.Once
-	unsub func()
+	f      *feed[Message]
 }
 
 // Subscribe registers a subscription for every future delivery of the
@@ -80,31 +68,19 @@ func (p *Peer) Subscribe(stream StreamID) *Subscription {
 // unconsumed, and OnFull picks whether overflow drops the oldest (counted
 // by Dropped) or blocks the deliverer.
 func (p *Peer) SubscribeOpts(stream StreamID, opts SubOptions) *Subscription {
-	s := &Subscription{
-		stream: stream,
-		out:    make(chan Message, 16),
-		limit:  opts.Limit,
-		policy: opts.OnFull,
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	if s.limit > 0 && s.policy == Block {
-		s.space = sync.NewCond(&s.mu)
-	}
-	cancelCore := p.sys.SubscribeFn(stream, func(seq uint32, payload []byte) {
-		s.push(Message{Stream: stream, Seq: seq, Payload: payload})
+	// 16 lets the pump run ahead of a consumer that reads in bursts.
+	f := newFeed(p, 16, opts, func(push func(Message)) (cancel func()) {
+		return p.sys.Deliveries().Add(func(d core.Delivery) {
+			if d.Stream == stream {
+				push(Message{Stream: stream, Seq: d.Seq, Payload: d.Payload})
+			}
+		})
 	})
-	p.subs.add(s)
-	s.unsub = func() {
-		cancelCore()
-		p.subs.remove(s)
-	}
-	go s.pump()
-	return s
+	return &Subscription{stream: stream, f: f}
 }
 
 // C returns the delivery channel. It is closed after Cancel.
-func (s *Subscription) C() <-chan Message { return s.out }
+func (s *Subscription) C() <-chan Message { return s.f.out }
 
 // Stream returns the stream this subscription follows.
 func (s *Subscription) Stream() StreamID { return s.stream }
@@ -112,123 +88,128 @@ func (s *Subscription) Stream() StreamID { return s.stream }
 // Cancel stops delivery, unregisters the subscription, and closes C. It is
 // idempotent and safe to call from any goroutine. A deliverer blocked by a
 // Block-policy bound is released.
-func (s *Subscription) Cancel() {
-	s.once.Do(func() {
-		s.unsub()
-		close(s.done)
-		if s.space != nil {
-			s.mu.Lock()
-			s.space.Broadcast()
-			s.mu.Unlock()
+func (s *Subscription) Cancel() { s.f.cancel() }
+
+// Dropped returns how many deliveries a DropOldest bound discarded.
+func (s *Subscription) Dropped() uint64 {
+	s.f.mu.Lock()
+	defer s.f.mu.Unlock()
+	return s.f.dropped
+}
+
+// feed is the queue and pump behind Subscription and BlobSubscription.
+type feed[T any] struct {
+	out chan T
+
+	mu      sync.Mutex
+	queue   []T
+	limit   int
+	policy  OverflowPolicy
+	dropped uint64
+	space   *sync.Cond // non-nil for Block policy: queue below limit
+
+	wake  chan struct{} // 1-buffered doorbell: queue went non-empty
+	done  chan struct{}
+	once  sync.Once
+	unsub func()
+}
+
+// newFeed starts a feed with an out buffer of buf items, bounded by opts.
+// attach registers the protocol-side listener that calls push and returns
+// its cancel; the peer's closers cancel the feed with its runtime.
+func newFeed[T any](p *Peer, buf int, opts SubOptions, attach func(push func(T)) (cancel func())) *feed[T] {
+	f := &feed[T]{
+		out:    make(chan T, buf),
+		limit:  opts.Limit,
+		policy: opts.OnFull,
+		wake:   make(chan struct{}, 1),
+		done:   make(chan struct{}),
+	}
+	if f.limit > 0 && f.policy == Block {
+		f.space = sync.NewCond(&f.mu)
+	}
+	detach := attach(f.push)
+	untrack := p.closers.Add(func(struct{}) { f.cancel() })
+	f.unsub = func() {
+		detach()
+		untrack()
+	}
+	go f.pump()
+	return f
+}
+
+func (f *feed[T]) cancel() {
+	f.once.Do(func() {
+		f.unsub()
+		close(f.done)
+		if f.space != nil {
+			f.mu.Lock()
+			f.space.Broadcast()
+			f.mu.Unlock()
 		}
 	})
 }
 
-// Dropped returns how many deliveries a DropOldest bound discarded.
-func (s *Subscription) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// push appends a delivery; called from the protocol side. It never blocks
-// unless the subscription is bounded with the Block policy.
-func (s *Subscription) push(m Message) {
-	s.mu.Lock()
+// push appends an item; called from the protocol side. It never blocks
+// unless the feed is bounded with the Block policy.
+func (f *feed[T]) push(v T) {
+	f.mu.Lock()
 	for {
 		select {
-		case <-s.done:
-			s.mu.Unlock()
+		case <-f.done:
+			f.mu.Unlock()
 			return
 		default:
 		}
-		if s.limit <= 0 || len(s.queue) < s.limit {
+		if f.limit <= 0 || len(f.queue) < f.limit {
 			break
 		}
-		if s.policy == DropOldest {
-			s.queue = s.queue[1:]
-			s.dropped++
+		if f.policy == DropOldest {
+			f.queue = f.queue[1:]
+			f.dropped++
 			break
 		}
-		s.space.Wait() // Block: woken by the pump or by Cancel
+		f.space.Wait() // Block: woken by the pump or by cancel
 	}
-	s.queue = append(s.queue, m)
-	s.mu.Unlock()
+	f.queue = append(f.queue, v)
+	f.mu.Unlock()
 	select {
-	case s.wake <- struct{}{}:
+	case f.wake <- struct{}{}:
 	default:
 	}
 }
 
-// pump moves queued deliveries to the out channel until cancelled.
-func (s *Subscription) pump() {
-	defer close(s.out)
+// pump moves queued items to the out channel until cancelled.
+func (f *feed[T]) pump() {
+	defer close(f.out)
 	for {
-		s.mu.Lock()
-		var m Message
-		ok := len(s.queue) > 0
+		f.mu.Lock()
+		var v T
+		ok := len(f.queue) > 0
 		if ok {
-			m = s.queue[0]
-			s.queue = s.queue[1:]
-			if len(s.queue) == 0 {
-				s.queue = nil // release the drained backing array
+			v = f.queue[0]
+			f.queue = f.queue[1:]
+			if len(f.queue) == 0 {
+				f.queue = nil // release the drained backing array
 			}
-			if s.space != nil {
-				s.space.Signal()
+			if f.space != nil {
+				f.space.Signal()
 			}
 		}
-		s.mu.Unlock()
+		f.mu.Unlock()
 		if !ok {
 			select {
-			case <-s.wake:
+			case <-f.wake:
 				continue
-			case <-s.done:
+			case <-f.done:
 				return
 			}
 		}
 		select {
-		case s.out <- m:
-		case <-s.done:
+		case f.out <- v:
+		case <-f.done:
 			return
 		}
-	}
-}
-
-// subscriptionSet tracks a peer's live subscriptions (message and blob) so
-// the owning runtime can cancel them all on shutdown.
-type subscriptionSet struct {
-	mu   sync.Mutex
-	subs map[canceler]struct{}
-}
-
-// canceler is anything cancelAll can shut down.
-type canceler interface{ Cancel() }
-
-func (set *subscriptionSet) add(s canceler) {
-	set.mu.Lock()
-	if set.subs == nil {
-		set.subs = make(map[canceler]struct{})
-	}
-	set.subs[s] = struct{}{}
-	set.mu.Unlock()
-}
-
-func (set *subscriptionSet) remove(s canceler) {
-	set.mu.Lock()
-	delete(set.subs, s)
-	set.mu.Unlock()
-}
-
-// cancelAll cancels every live subscription of the set.
-func (set *subscriptionSet) cancelAll() {
-	set.mu.Lock()
-	subs := make([]canceler, 0, len(set.subs))
-	for s := range set.subs {
-		subs = append(subs, s)
-	}
-	set.mu.Unlock()
-	for _, s := range subs {
-		s.Cancel()
 	}
 }
 
@@ -251,15 +232,7 @@ type Blob struct {
 // afterwards.
 type BlobSubscription struct {
 	stream StreamID
-	out    chan Blob
-
-	mu    sync.Mutex
-	queue []Blob
-
-	wake  chan struct{}
-	done  chan struct{}
-	once  sync.Once
-	unsub func()
+	f      *feed[Blob]
 }
 
 // SubscribeBlobs registers a subscription for every blob the peer completes
@@ -267,87 +240,25 @@ type BlobSubscription struct {
 // are independent; each receives every blob once. Safe to call from any
 // goroutine on either runtime.
 func (p *Peer) SubscribeBlobs(stream StreamID) *BlobSubscription {
-	s := &BlobSubscription{
-		stream: stream,
-		out:    make(chan Blob, 1),
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	cancelCore := func() {}
-	if p.brisa != nil { // a baseline peer completes no blobs
-		cancelCore = p.brisa.SubscribeBlobFn(stream, func(d core.BlobDelivery) {
-			s.push(Blob{Stream: stream, ID: d.ID, Data: d.Data})
+	f := newFeed(p, 1, SubOptions{}, func(push func(Blob)) (cancel func()) {
+		if p.brisa == nil { // a baseline peer completes no blobs
+			return func() {}
+		}
+		return p.brisa.Blobs().Add(func(d core.BlobDelivery) {
+			if d.Stream == stream {
+				push(Blob{Stream: stream, ID: d.ID, Data: d.Data})
+			}
 		})
-	}
-	p.subs.add(s)
-	s.unsub = func() {
-		cancelCore()
-		p.subs.remove(s)
-	}
-	go s.pump()
-	return s
+	})
+	return &BlobSubscription{stream: stream, f: f}
 }
 
 // C returns the delivery channel. It is closed after Cancel.
-func (s *BlobSubscription) C() <-chan Blob { return s.out }
+func (s *BlobSubscription) C() <-chan Blob { return s.f.out }
 
 // Stream returns the stream this subscription follows.
 func (s *BlobSubscription) Stream() StreamID { return s.stream }
 
 // Cancel stops delivery, unregisters the subscription, and closes C. It is
 // idempotent and safe to call from any goroutine.
-func (s *BlobSubscription) Cancel() {
-	s.once.Do(func() {
-		s.unsub()
-		close(s.done)
-	})
-}
-
-// push appends a completed blob; called from the protocol side, never
-// blocking.
-func (s *BlobSubscription) push(b Blob) {
-	s.mu.Lock()
-	select {
-	case <-s.done:
-		s.mu.Unlock()
-		return
-	default:
-	}
-	s.queue = append(s.queue, b)
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// pump moves queued blobs to the out channel until cancelled.
-func (s *BlobSubscription) pump() {
-	defer close(s.out)
-	for {
-		s.mu.Lock()
-		var b Blob
-		ok := len(s.queue) > 0
-		if ok {
-			b = s.queue[0]
-			s.queue = s.queue[1:]
-			if len(s.queue) == 0 {
-				s.queue = nil
-			}
-		}
-		s.mu.Unlock()
-		if !ok {
-			select {
-			case <-s.wake:
-				continue
-			case <-s.done:
-				return
-			}
-		}
-		select {
-		case s.out <- b:
-		case <-s.done:
-			return
-		}
-	}
-}
+func (s *BlobSubscription) Cancel() { s.f.cancel() }

@@ -5,6 +5,7 @@ package brisa_test
 // to run under -race.
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -208,7 +209,7 @@ func TestSubscriptionLifecycleRace(t *testing.T) {
 	}
 
 	time.Sleep(50 * time.Millisecond)
-	node.Close() // cancelAll races the explicit Cancels and the publisher
+	node.Close() // its cancellations race the explicit Cancels and the publisher
 	close(stop)
 
 	fin := make(chan struct{})
@@ -217,5 +218,39 @@ func TestSubscriptionLifecycleRace(t *testing.T) {
 	case <-fin:
 	case <-time.After(10 * time.Second):
 		t.Fatal("lifecycle goroutines did not terminate")
+	}
+}
+
+// TestSubscribeRacesRunOnEveryMode subscribes and cancels from a goroutine
+// of its own while the sharded simulator carries a stream through the same
+// peer, on BRISA and on each baseline: registration is safe from any
+// goroutine whichever system the peer runs. It asserts delivery; the -race
+// CI job asserts memory safety.
+func TestSubscribeRacesRunOnEveryMode(t *testing.T) {
+	for _, mode := range []brisa.Mode{brisa.ModeTree, brisa.ModeSimpleTree, brisa.ModeSimpleGossip, brisa.ModeTAG} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := newTestCluster(t, brisa.ClusterConfig{Nodes: 32, Seed: 5, Workers: 2, Peer: brisa.Config{Mode: mode}})
+			defer c.Close()
+			c.Bootstrap()
+			const msgs = 50
+			publishStream(c, c.Peers()[0], 1, msgs, 100*time.Millisecond, 16)
+			peer := c.Peers()[7]
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < 200; i++ {
+					sub := peer.Subscribe(1)
+					runtime.Gosched()
+					sub.Cancel()
+				}
+			}()
+			c.Net.RunFor(msgs*100*time.Millisecond + 30*time.Second)
+			<-done
+			for _, p := range c.Peers() {
+				if got := p.DeliveredCount(1); got != msgs {
+					t.Errorf("peer %v delivered %d of %d", p.ID(), got, msgs)
+				}
+			}
+		})
 	}
 }
