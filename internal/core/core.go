@@ -969,8 +969,10 @@ func (p *Protocol) setDepth(st *stream, d uint16) {
 	st.depth = d
 	p.emit(Event{Type: EvDepthChange, Stream: st.id, Seq: uint32(d)})
 	var upd wire.Message = wire.DepthUpdate{Stream: st.id, Depth: d}
-	for _, n := range p.childrenOf(st) {
-		p.env.Send(n, upd)
+	for _, n := range p.cfg.PSS.Active() { // the children, as childrenOf lists them
+		if !st.has(n, fOutInactive|fParent) {
+			p.env.Send(n, upd)
+		}
 	}
 }
 

@@ -496,6 +496,8 @@ func (p *Protocol) Receive(from ids.NodeID, m wire.Message) {
 		p.onShuffleReply(from, msg)
 	case wire.KeepAlive:
 		p.onKeepAlive(from, msg)
+	case *wire.KeepAlive: // as keepAliveTick sends it; decoders return the value
+		p.onKeepAlive(from, *msg)
 	}
 }
 
@@ -607,11 +609,13 @@ func (p *Protocol) shuffleTick() {
 }
 
 // shuffleSample builds self + Ka active + Kp passive, excluding the target.
+// Both views are picked from inside the one slice it sends.
 func (p *Protocol) shuffleSample(exclude ids.NodeID) []ids.NodeID {
-	sample := []ids.NodeID{p.env.ID()}
-	sample = append(sample, pickRandom(p.Active(), p.cfg.Ka, exclude, p.env)...)
-	sample = append(sample, pickRandom(p.Passive(), p.cfg.Kp, exclude, p.env)...)
-	return sample
+	active := p.Active()
+	sample := make([]ids.NodeID, 1, 1+len(active)+p.passive.Len())
+	sample[0] = p.env.ID()
+	sample = pickRandom(append(sample, active...), 1, p.cfg.Ka, exclude, p.env)
+	return pickRandom(p.passive.AppendSorted(sample), len(sample), p.cfg.Kp, exclude, p.env)
 }
 
 func (p *Protocol) onShuffle(from ids.NodeID, m wire.Shuffle) {
@@ -634,7 +638,7 @@ func (p *Protocol) onShuffle(from ids.NodeID, m wire.Shuffle) {
 		}
 	}
 	// Terminal node: integrate and reply with our own passive sample.
-	reply := wire.ShuffleReply{Nodes: pickRandom(p.Passive(), len(m.Nodes), m.Origin, p.env)}
+	reply := wire.ShuffleReply{Nodes: pickRandom(p.Passive(), 0, len(m.Nodes), m.Origin, p.env)}
 	p.integrate(m.Nodes)
 	if m.Origin == p.env.ID() {
 		return
@@ -709,6 +713,11 @@ func (p *Protocol) keepAliveTick() {
 	}
 	ids.Sort(members)
 	p.kaScratch = members
+	// One slab per round boxes every heartbeat: each neighbour gets a
+	// pointer to its own element. The slab is new each round because a sent
+	// message is read-only from Send on (node.Env.Send) and the simulator
+	// may still hold last round's pointers on another shard.
+	kas := make([]wire.KeepAlive, 0, len(members))
 	for _, id := range members {
 		nb := p.active[id]
 		if !nb.connected {
@@ -724,7 +733,8 @@ func (p *Protocol) keepAliveTick() {
 			p.removeActive(id, false)
 			continue
 		}
-		ka := wire.KeepAlive{SentAt: now, Piggyback: blob}
+		kas = append(kas, wire.KeepAlive{SentAt: now, Piggyback: blob})
+		ka := &kas[len(kas)-1]
 		if nb.peerSentAt != 0 {
 			ka.Echo = nb.peerSentAt + (now - nb.heardAt)
 			nb.peerSentAt = 0 // an echo is spent once
@@ -762,19 +772,22 @@ func (p *Protocol) onKeepAlive(from ids.NodeID, m wire.KeepAlive) {
 	}
 }
 
-// pickRandom returns up to n distinct random elements of s, never exclude.
-func pickRandom(s []ids.NodeID, n int, exclude ids.NodeID, env node.Env) []ids.NodeID {
-	filtered := make([]ids.NodeID, 0, len(s))
-	for _, id := range s {
+// pickRandom keeps up to n distinct random elements of s[from:], never
+// exclude, and returns s[:from] followed by them. It filters and shuffles in
+// place, drawing exactly as a shuffle of a filtered copy would.
+func pickRandom(s []ids.NodeID, from, n int, exclude ids.NodeID, env node.Env) []ids.NodeID {
+	kept := s[:from]
+	for _, id := range s[from:] {
 		if id != exclude {
-			filtered = append(filtered, id)
+			kept = append(kept, id)
 		}
 	}
-	if n >= len(filtered) {
-		return filtered
+	picked := kept[from:]
+	if n >= len(picked) {
+		return kept
 	}
-	env.Rand().Shuffle(len(filtered), func(i, j int) {
-		filtered[i], filtered[j] = filtered[j], filtered[i]
+	env.Rand().Shuffle(len(picked), func(i, j int) {
+		picked[i], picked[j] = picked[j], picked[i]
 	})
-	return filtered[:n]
+	return kept[:from+n]
 }

@@ -154,32 +154,43 @@ func TestFailureRecovery(t *testing.T) {
 
 func TestRTTMeasurement(t *testing.T) {
 	t.Run("clean links", func(t *testing.T) {
-		testRTTMeasurement(t, func(h node.Handler) node.Handler { return h })
+		testRTTMeasurement(t, func(_ ids.NodeID, h node.Handler) node.Handler { return h })
 	})
 	// A lost heartbeat leaves its receiver nothing to echo, so the sender
 	// gets no sample that period — never a stale one.
 	t.Run("first heartbeat of every link dropped", func(t *testing.T) {
-		testRTTMeasurement(t, func(h node.Handler) node.Handler {
-			return &dropFirstKeepAlive{Handler: h, heard: map[ids.NodeID]bool{}}
+		droppers := map[ids.NodeID]*dropFirstKeepAlive{}
+		c := testRTTMeasurement(t, func(id ids.NodeID, h node.Handler) node.Handler {
+			d := &dropFirstKeepAlive{Handler: h, dropped: map[ids.NodeID]int{}}
+			droppers[id] = d
+			return d
 		})
+		for _, id := range c.order {
+			for _, nb := range c.peers[id].Active() {
+				if droppers[id].dropped[nb] == 0 {
+					t.Errorf("%v dropped no heartbeat from its neighbour %v", id, nb)
+				}
+			}
+		}
 	})
 }
 
-// dropFirstKeepAlive loses the first heartbeat that arrives from each peer.
+// dropFirstKeepAlive loses the first heartbeat that arrives from each peer
+// and counts what it dropped, per peer.
 type dropFirstKeepAlive struct {
 	node.Handler
-	heard map[ids.NodeID]bool
+	dropped map[ids.NodeID]int
 }
 
 func (d *dropFirstKeepAlive) Receive(from ids.NodeID, m wire.Message) {
-	if _, ok := m.(wire.KeepAlive); ok && !d.heard[from] {
-		d.heard[from] = true
+	if _, ok := asKeepAlive(m); ok && d.dropped[from] == 0 {
+		d.dropped[from]++
 		return
 	}
 	d.Handler.Receive(from, m)
 }
 
-func testRTTMeasurement(t *testing.T, wrap func(node.Handler) node.Handler) {
+func testRTTMeasurement(t *testing.T, wrap func(ids.NodeID, node.Handler) node.Handler) *cluster {
 	cfg := DefaultConfig()
 	c := &cluster{
 		net:   simnet.New(simnet.Options{Seed: 1, Latency: simnet.FixedLatency(5 * time.Millisecond)}),
@@ -188,7 +199,7 @@ func testRTTMeasurement(t *testing.T, wrap func(node.Handler) node.Handler) {
 	for i := 0; i < 8; i++ {
 		id := ids.NodeID(i + 1)
 		p := New(cfg)
-		c.net.AddNode(id, wrap(muxFor(p)))
+		c.net.AddNode(id, wrap(id, muxFor(p)))
 		c.peers[id] = p
 		c.order = append(c.order, id)
 	}
@@ -209,6 +220,7 @@ func testRTTMeasurement(t *testing.T, wrap func(node.Handler) node.Handler) {
 	if measured == 0 {
 		t.Fatal("no RTTs were measured")
 	}
+	return c
 }
 
 func TestPiggybackDelivery(t *testing.T) {

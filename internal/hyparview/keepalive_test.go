@@ -3,6 +3,7 @@ package hyparview
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -14,11 +15,13 @@ import (
 )
 
 // handEnv is a node.Env driven by hand: the test moves the clock, calls
-// keepAliveTick itself (timers never fire) and reads what was sent.
+// keepAliveTick itself (timers never fire) and reads what was sent, unless
+// discard is set.
 type handEnv struct {
-	now  time.Time
-	rng  *rand.Rand
-	sent []sentMsg
+	now     time.Time
+	rng     *rand.Rand
+	sent    []sentMsg
+	discard bool
 }
 
 type sentMsg struct {
@@ -36,15 +39,33 @@ func (e *handEnv) Rand() *rand.Rand                       { return e.rng }
 func (e *handEnv) After(time.Duration, func()) node.Timer { return deadTimer{} }
 func (e *handEnv) Connect(ids.NodeID)                     {}
 func (e *handEnv) Close(ids.NodeID)                       {}
-func (e *handEnv) Send(to ids.NodeID, m wire.Message)     { e.sent = append(e.sent, sentMsg{to, m}) }
 func (e *handEnv) Connected(ids.NodeID) bool              { return true }
 func (e *handEnv) Log(string, ...any)                     {}
+
+func (e *handEnv) Send(to ids.NodeID, m wire.Message) {
+	if !e.discard {
+		e.sent = append(e.sent, sentMsg{to, m})
+	}
+}
+
+// asKeepAlive returns the heartbeat m carries, in either form it arrives
+// in: keepAliveTick sends pointers into its round's slab, and the decoders
+// return values.
+func asKeepAlive(m wire.Message) (wire.KeepAlive, bool) {
+	switch ka := m.(type) {
+	case wire.KeepAlive:
+		return ka, true
+	case *wire.KeepAlive:
+		return *ka, true
+	}
+	return wire.KeepAlive{}, false
+}
 
 // lastKeepAlive is the most recent heartbeat sent to peer.
 func (e *handEnv) lastKeepAlive(t *testing.T, peer ids.NodeID) wire.KeepAlive {
 	t.Helper()
 	for i := len(e.sent) - 1; i >= 0; i-- {
-		if ka, ok := e.sent[i].m.(wire.KeepAlive); ok && e.sent[i].to == peer {
+		if ka, ok := asKeepAlive(e.sent[i].m); ok && e.sent[i].to == peer {
 			return ka
 		}
 	}
@@ -52,14 +73,16 @@ func (e *handEnv) lastKeepAlive(t *testing.T, peer ids.NodeID) wire.KeepAlive {
 	return wire.KeepAlive{}
 }
 
-// newHandNode is node 1 with node 2 as its one connected neighbour.
-func newHandNode(t *testing.T) (*Protocol, *handEnv) {
+// newHandNode is node 1 with nodes 2, 3, … as its n connected neighbours.
+func newHandNode(t *testing.T, n int) (*Protocol, *handEnv) {
 	env := &handEnv{now: simnet.Epoch().Add(time.Hour), rng: rand.New(rand.NewSource(1))}
 	p := New(DefaultConfig())
 	p.Start(env)
-	p.Receive(2, wire.Join{})
-	if !p.ActiveContains(2) {
-		t.Fatal("the joiner is not in the active view")
+	for i := 0; i < n; i++ {
+		p.Receive(ids.NodeID(2+i), wire.Join{})
+	}
+	if got := len(p.Active()); got != n {
+		t.Fatalf("%d of %d joiners are in the active view", got, n)
 	}
 	return p, env
 }
@@ -68,7 +91,7 @@ func newHandNode(t *testing.T) (*Protocol, *handEnv) {
 // advanced by the time it was held here, once, and 0 from then on until the
 // peer is heard again.
 func TestEchoIsSpentOnce(t *testing.T) {
-	p, env := newHandNode(t)
+	p, env := newHandNode(t, 1)
 	p.keepAliveTick()
 	if ka := env.lastKeepAlive(t, 2); ka.Echo != 0 || ka.SentAt != env.now.UnixNano() {
 		t.Fatalf("first heartbeat = %+v, want SentAt = now and nothing to echo", ka)
@@ -88,10 +111,80 @@ func TestEchoIsSpentOnce(t *testing.T) {
 	}
 }
 
+// TestKeepAliveRoundAllocs: a heartbeat round boxes all its heartbeats in
+// one slab, so it costs one allocation however many neighbours it reaches.
+func TestKeepAliveRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	p, env := newHandNode(t, 8)
+	env.discard = true
+	got := testing.AllocsPerRun(100, func() {
+		p.keepAliveTick()
+		for _, nb := range p.active {
+			nb.missed = 0 // nobody answers here; keep all 8 in the view
+		}
+	})
+	if got != 1 {
+		t.Errorf("a round to 8 neighbours makes %v allocations, want 1", got)
+	}
+	if n := len(p.Active()); n != 8 {
+		t.Fatalf("%d neighbours left after the rounds, want 8", n)
+	}
+}
+
+// TestSentKeepAlivesAreImmutable pins the ownership rule the slab rests on:
+// a heartbeat is read-only from Send on and may still be in flight (on the
+// simulator, read on another shard) when the next round runs, so a round
+// never writes into an earlier round's heartbeats, and each neighbour's
+// heartbeat carries its own echo.
+func TestSentKeepAlivesAreImmutable(t *testing.T) {
+	const n = 8
+	p, env := newHandNode(t, n)
+	env.sent = nil // the joins' forward-joins
+	p.keepAliveTick()
+	if len(env.sent) != n {
+		t.Fatalf("round r sent %d messages, want %d", len(env.sent), n)
+	}
+	roundR := env.sent
+	want := make([]wire.KeepAlive, n)
+	for i, s := range roundR {
+		want[i], _ = asKeepAlive(s.m)
+	}
+
+	// Every neighbour is heard with its own clock, so round r+1 echoes a
+	// different value to each.
+	peerClock := func(peer ids.NodeID) int64 { return int64(peer) * 1_000_000_000 }
+	for _, s := range roundR {
+		p.Receive(s.to, wire.KeepAlive{SentAt: peerClock(s.to)})
+	}
+	env.sent = nil
+	env.now = env.now.Add(300 * time.Millisecond)
+	p.keepAliveTick()
+	if len(env.sent) != n {
+		t.Fatalf("round r+1 sent %d messages, want %d", len(env.sent), n)
+	}
+
+	for i, s := range roundR {
+		if got, _ := asKeepAlive(s.m); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("round r's heartbeat to %v became %+v, was %+v", s.to, got, want[i])
+		}
+	}
+	for _, s := range env.sent {
+		ka, ok := asKeepAlive(s.m)
+		if !ok {
+			t.Fatalf("round r+1 sent a %v to %v", s.m.Kind(), s.to)
+		}
+		if want := peerClock(s.to) + int64(300*time.Millisecond); ka.Echo != want {
+			t.Errorf("heartbeat to %v echoes %d, want its own %d", s.to, ka.Echo, want)
+		}
+	}
+}
+
 // TestEchoSampleIsBounded: RTT samples come off the network, so only a
 // sample in (0, MissLimit×KeepAlivePeriod] reaches the estimate.
 func TestEchoSampleIsBounded(t *testing.T) {
-	p, env := newHandNode(t)
+	p, env := newHandNode(t, 1)
 	now := env.now.UnixNano()
 	limit := int64(time.Duration(p.cfg.MissLimit) * p.cfg.KeepAlivePeriod)
 	echo := func(e int64) { p.Receive(2, wire.KeepAlive{SentAt: 1, Echo: e}) }

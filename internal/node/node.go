@@ -64,6 +64,9 @@ type Env interface {
 	// same value — possibly on another scheduler shard, possibly much later
 	// — and senders hand one message to many peers, so a sender that wants
 	// different contents builds a new slice; it never writes into a sent one.
+	// A message may be sent as a pointer (the heartbeat round sends each
+	// neighbour a pointer into one slab); the pointee is then read-only too,
+	// and the receiver gets the pointer, not a copy.
 	Send(to ids.NodeID, m wire.Message)
 
 	// Connected reports whether a connection to the peer is established.

@@ -139,6 +139,11 @@ func (m ShuffleReply) WireSize() int { return 1 + szNodeIDs(m.Nodes) }
 // The paper's delay-aware parent selection leverages exactly these probes
 // (§II-E), and §II-F piggybacks parent-selection state on them — the opaque
 // Piggyback field carries that upper-layer state.
+//
+// A KeepAlive arrives in either form: the sender's round sends *KeepAlive
+// (one slab per round, not one box per neighbour), which the simulator
+// delivers as sent, while the decoders return the value. Receivers accept
+// both; the pointer frames and sizes exactly as the value.
 type KeepAlive struct {
 	SentAt    int64
 	Echo      int64

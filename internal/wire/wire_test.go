@@ -75,6 +75,27 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 	}
 }
 
+// TestKeepAlivePointerFramesLikeValue: the membership layer sends its
+// heartbeats as *KeepAlive, so the pointer must frame and size exactly as
+// the value the decoder returns.
+func TestKeepAlivePointerFramesLikeValue(t *testing.T) {
+	kas := []KeepAlive{{SentAt: 1, Echo: -1}} // no piggyback
+	for _, m := range allMessages() {
+		if ka, ok := m.(KeepAlive); ok {
+			kas = append(kas, ka)
+		}
+	}
+	for _, ka := range kas {
+		var ptr, val Message = &ka, ka
+		if got, want := AppendFrame(nil, ptr), AppendFrame(nil, val); !bytes.Equal(got, want) {
+			t.Errorf("%+v: pointer frames as %x, value as %x", ka, got, want)
+		}
+		if got, want := ptr.WireSize(), val.WireSize(); got != want {
+			t.Errorf("%+v: pointer WireSize %d, value %d", ka, got, want)
+		}
+	}
+}
+
 func TestKindsAreUniqueAndNamed(t *testing.T) {
 	seen := map[Kind]bool{}
 	for _, m := range allMessages() {

@@ -151,3 +151,25 @@ func TestLiveJoinRejectsBadAddresses(t *testing.T) {
 		t.Error("joining through self succeeded")
 	}
 }
+
+// TestLiveHeartbeatEchoMeasuresRTT: the one-way heartbeat's echo closes
+// the round trip over real TCP too, so both ends of a link measure an RTT.
+func TestLiveHeartbeatEchoMeasuresRTT(t *testing.T) {
+	nodes := listenN(t, 2, brisa.Config{Mode: brisa.ModeTree})
+	if err := nodes[1].Join(nodes[0].Addr()); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	rtt := func(a, b *brisa.Node) time.Duration {
+		var d time.Duration
+		a.Do(func(p *brisa.Peer) { d = p.RTT(b.ID()) })
+		return d
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rtt(nodes[0], nodes[1]) <= 0 || rtt(nodes[1], nodes[0]) <= 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no RTT within 5s: %v from the contact, %v from the joiner",
+				rtt(nodes[0], nodes[1]), rtt(nodes[1], nodes[0]))
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
