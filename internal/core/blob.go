@@ -84,7 +84,7 @@ type BlobStats struct {
 
 // BlobStats returns the blob counters for a stream.
 func (p *Protocol) BlobStats(id wire.StreamID) BlobStats {
-	if st, ok := p.streams[id]; ok {
+	if st := p.lookup(id); st != nil {
 		return st.blobStats
 	}
 	return BlobStats{}
@@ -93,7 +93,7 @@ func (p *Protocol) BlobStats(id wire.StreamID) BlobStats {
 // BlobsDelivered returns how many blobs of the stream this node holds intact
 // (reconstructed or locally published).
 func (p *Protocol) BlobsDelivered(id wire.StreamID) uint64 {
-	if st, ok := p.streams[id]; ok {
+	if st := p.lookup(id); st != nil {
 		return st.blobsDelivered
 	}
 	return 0
@@ -295,6 +295,7 @@ func (p *Protocol) onBlobChunk(from ids.NodeID, m wire.BlobChunk) {
 	// New chunk: store and relay downstream (pipelining — the node serves
 	// chunk i onward while chunk i+1 is still in flight).
 	now := p.env.Now()
+	at := instant(now.UnixNano())
 	if b.chunks == nil {
 		b.chunks = make([][]byte, b.n)
 	}
@@ -310,16 +311,16 @@ func (p *Protocol) onBlobChunk(from ids.NodeID, m wire.BlobChunk) {
 	}
 	p.metrics.BlobChunks++
 	st.blobStats.ChunksReceived++
-	st.lastDeliveredAt = now
+	st.lastDeliveredAt = at
 	if st.isParent(from) {
-		st.lastParentDelivery = now
+		st.lastParentDelivery = at
 	}
-	if !st.orphanedAt.IsZero() {
+	if st.orphanedAt != 0 {
 		p.emit(Event{
 			Type: EvRepaired, Stream: st.id, Peer: from,
-			Dur: now.Sub(st.orphanedAt), Hard: st.orphanWasHard,
+			Dur: time.Duration(at - st.orphanedAt), Hard: st.orphanWasHard,
 		})
-		st.orphanedAt = time.Time{}
+		st.orphanedAt = 0
 		st.orphanWasHard = false
 	}
 	if !st.source {
@@ -448,8 +449,8 @@ func (p *Protocol) maybeWant(st *stream, b *blobState, peer ids.NodeID, peerHave
 }
 
 func (p *Protocol) onBlobWant(from ids.NodeID, m wire.BlobWant) {
-	st, ok := p.streams[m.Stream]
-	if !ok {
+	st := p.lookup(m.Stream)
+	if st == nil {
 		return
 	}
 	b, ok := st.blobs[m.Blob]

@@ -179,7 +179,7 @@ func TestBlobPullRepairViaHave(t *testing.T) {
 	// The source's possession ad (as broadcast on completion, or as it
 	// rides a keep-alive piggyback) triggers Want → served chunks → done.
 	net.drop = nil
-	st := net.procs[1].streams[7]
+	st := net.procs[1].lookup(7)
 	net.procs[1].sendHave(st, st.blobs[1])
 	net.run()
 
@@ -223,7 +223,7 @@ func TestBlobPullRepairViaPiggyback(t *testing.T) {
 	if n := net.procs[2].BlobsDelivered(7); n != 1 {
 		t.Fatal("piggyback ad did not drive pull repair to completion")
 	}
-	out := net.procs[2].streams[7].blobs[1].data
+	out := net.procs[2].lookup(7).blobs[1].data
 	if !bytes.Equal(out, data) {
 		t.Fatal("reconstructed payload differs")
 	}
@@ -330,7 +330,7 @@ func TestBlobEvictionBound(t *testing.T) {
 		}
 		net.run()
 	}
-	st := net.procs[2].streams[7]
+	st := net.procs[2].lookup(7)
 	if len(st.blobs) != 2 {
 		t.Fatalf("receiver retains %d blobs, want 2 (MaxBlobs)", len(st.blobs))
 	}
@@ -355,7 +355,7 @@ func TestBlobEvictionBound(t *testing.T) {
 	}
 
 	// The source, too, is bounded: it retains MaxBlobs of its own blobs.
-	if srcSt := net.procs[1].streams[7]; len(srcSt.blobs) != 2 {
+	if srcSt := net.procs[1].lookup(7); len(srcSt.blobs) != 2 {
 		t.Errorf("source retains %d blobs, want 2", len(srcSt.blobs))
 	}
 
@@ -390,7 +390,7 @@ func TestBlobHostileFramesIgnored(t *testing.T) {
 		p.Receive(1, m)
 	}
 	net.run()
-	if st, ok := p.streams[7]; ok && len(st.blobs) != 0 {
+	if st := p.lookup(7); st != nil && len(st.blobs) != 0 {
 		t.Fatalf("hostile frames created blob state: %d blobs", len(st.blobs))
 	}
 	if got := p.Metrics().BlobChunks; got != 0 {
@@ -407,43 +407,8 @@ func TestBlobHostileFramesIgnored(t *testing.T) {
 	conflict.Index = 1
 	p.Receive(1, conflict)
 	net.run()
-	st := p.streams[7]
+	st := p.lookup(7)
 	if b := st.blobs[1]; b == nil || b.haveN != 1 || b.size != 200 {
 		t.Fatal("geometry conflict corrupted blob state")
-	}
-}
-
-// ----------------------------------------------------------- piggyback ads
-
-func TestPiggybackBlobAdsRoundTrip(t *testing.T) {
-	entries := []piggyStream{
-		{stream: 1, depth: 2, upTo: 5, path: []ids.NodeID{1, 2}},
-	}
-	entries[0].blobs[0] = piggyBlob{id: 3, k: 4, n: 6, size: 500, chunkSize: 128, bitmap: []byte{0x2f}}
-	entries[0].blobs[1] = piggyBlob{id: 4, k: 1, n: 1, size: 10, chunkSize: 64, bitmap: []byte{0x01}}
-	entries[0].nBlobs = 2
-
-	got, err := new(Protocol).decodePiggyback(appendPiggyback(nil, entries))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].nBlobs != 2 {
-		t.Fatalf("decoded %d entries, %d ads", len(got), got[0].nBlobs)
-	}
-	ad := got[0].blobs[0]
-	if ad.id != 3 || ad.k != 4 || ad.n != 6 || ad.size != 500 || ad.chunkSize != 128 ||
-		!bytes.Equal(ad.bitmap, []byte{0x2f}) {
-		t.Errorf("ad 0 mismatch: %+v", ad)
-	}
-	if got[0].blobs[1].id != 4 {
-		t.Errorf("ad 1 mismatch: %+v", got[0].blobs[1])
-	}
-
-	// Truncation anywhere must error, never panic.
-	pb := appendPiggyback(nil, entries)
-	for cut := 1; cut < len(pb); cut++ {
-		if _, err := new(Protocol).decodePiggyback(pb[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
 	}
 }

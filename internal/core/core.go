@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -18,9 +19,9 @@ type Protocol struct {
 	node.BaseProto
 	cfg       Config
 	env       node.Env
-	streams   map[wire.StreamID]*stream
+	streams   []*stream // ascending by id
 	metrics   Metrics
-	startedAt time.Time
+	startedAt instant
 	stopped   bool
 
 	// Where deliveries, events and completed blobs leave the actor: the only
@@ -28,17 +29,6 @@ type Protocol struct {
 	deliveries node.Listeners[Delivery]
 	events     node.Listeners[Event]
 	blobs      node.Listeners[BlobDelivery]
-
-	// Reused keep-alive piggyback buffers (see piggyback.go): pbOut builds
-	// outgoing entries over the parent lists in pbParents, pbEntries/pbIDs
-	// hold one decoded incoming blob, sidScratch the sorted stream iteration
-	// order and pbScratch the encoding in progress.
-	pbOut      []piggyStream
-	pbParents  []ids.NodeID
-	pbScratch  []byte
-	pbEntries  []piggyStream
-	pbIDs      []ids.NodeID
-	sidScratch []wire.StreamID
 }
 
 // New builds a Protocol. cfg.PSS must be set.
@@ -46,16 +36,13 @@ func New(cfg Config) *Protocol {
 	if cfg.PSS == nil {
 		panic("core: Config.PSS is required")
 	}
-	return &Protocol{
-		cfg:     cfg.withDefaults(),
-		streams: make(map[wire.StreamID]*stream),
-	}
+	return &Protocol{cfg: cfg.withDefaults()}
 }
 
 // Start implements node.Proto.
 func (p *Protocol) Start(env node.Env) {
 	p.env = env
-	p.startedAt = env.Now()
+	p.startedAt = p.now()
 }
 
 // Stop implements node.Proto.
@@ -77,39 +64,46 @@ func (p *Protocol) Now() time.Time {
 	return p.env.Now()
 }
 
+// now reads the node's clock as an instant.
+func (p *Protocol) now() instant { return instant(p.env.Now().UnixNano()) }
+
 // Mode returns the configured structure mode.
 func (p *Protocol) Mode() Mode { return p.cfg.Mode }
 
-func (p *Protocol) getStream(id wire.StreamID) *stream {
-	st, ok := p.streams[id]
-	if !ok {
-		st = newStream(id, len(p.cfg.PSS.Active()))
-		p.streams[id] = st
+// byID orders the stream table for binary search.
+func byID(st *stream, id wire.StreamID) int { return cmp.Compare(st.id, id) }
+
+// lookup returns stream id's state, nil if the node has none.
+func (p *Protocol) lookup(id wire.StreamID) *stream {
+	if i, ok := slices.BinarySearchFunc(p.streams, id, byID); ok {
+		return p.streams[i]
 	}
-	return st
+	return nil
+}
+
+// getStream returns stream id's state, inserting an empty one if there is
+// none.
+func (p *Protocol) getStream(id wire.StreamID) *stream {
+	i, ok := slices.BinarySearchFunc(p.streams, id, byID)
+	if !ok {
+		p.streams = slices.Insert(p.streams, i, newStream(id, len(p.cfg.PSS.Active())))
+	}
+	return p.streams[i]
 }
 
 // StreamIDs lists the streams this node has state for, ascending.
 func (p *Protocol) StreamIDs() []wire.StreamID {
-	return p.appendStreamIDs(make([]wire.StreamID, 0, len(p.streams)))
-}
-
-// appendStreamIDs appends the stream ids ascending — the scratch-buffer
-// variant for per-tick paths (keep-alive piggyback).
-func (p *Protocol) appendStreamIDs(out []wire.StreamID) []wire.StreamID {
-	start := len(out)
-	//brisa:orderinvariant append-then-sort: the sort below restores ascending order
-	for id := range p.streams {
-		out = append(out, id)
+	out := make([]wire.StreamID, len(p.streams))
+	for i, st := range p.streams {
+		out[i] = st.id
 	}
-	slices.Sort(out[start:])
 	return out
 }
 
 // Parents returns the node's current parents for a stream, ascending. The
 // slice is the caller's to keep.
 func (p *Protocol) Parents(id wire.StreamID) []ids.NodeID {
-	if st, ok := p.streams[id]; ok {
+	if st := p.lookup(id); st != nil {
 		return st.appendParents(nil)
 	}
 	return nil
@@ -119,7 +113,7 @@ func (p *Protocol) Parents(id wire.StreamID) []ids.NodeID {
 // (outbound-active links). In a converged structure these are exactly the
 // nodes that selected us as a parent.
 func (p *Protocol) Children(id wire.StreamID) []ids.NodeID {
-	if st, ok := p.streams[id]; ok {
+	if st := p.lookup(id); st != nil {
 		return p.childrenOf(st)
 	}
 	return nil
@@ -151,8 +145,8 @@ func (p *Protocol) childCount(st *stream) int {
 // source in tree mode (path length), the depth label in DAG mode. ok is
 // false if the node has not received the stream.
 func (p *Protocol) Depth(id wire.StreamID) (int, bool) {
-	st, ok := p.streams[id]
-	if !ok || !st.started {
+	st := p.lookup(id)
+	if st == nil || !st.started {
 		return 0, false
 	}
 	if st.source {
@@ -176,8 +170,8 @@ func (p *Protocol) Depth(id wire.StreamID) (int, bool) {
 // DeliveredCount returns how many distinct messages of the stream this node
 // has delivered.
 func (p *Protocol) DeliveredCount(id wire.StreamID) uint64 {
-	st, ok := p.streams[id]
-	if !ok || !st.started {
+	st := p.lookup(id)
+	if st == nil || !st.started {
 		return 0
 	}
 	return uint64(st.contigUpTo-st.base) + uint64(st.sparseN)
@@ -188,8 +182,8 @@ func (p *Protocol) DeliveredCount(id wire.StreamID) uint64 {
 // accounting uses the internal orphanedAt timestamp instead, which is only
 // cleared by a post-repair delivery.)
 func (p *Protocol) IsOrphan(id wire.StreamID) bool {
-	st, ok := p.streams[id]
-	return ok && p.cfg.Mode != ModeFlood && st.started && !st.source && st.nParents == 0
+	st := p.lookup(id)
+	return st != nil && p.cfg.Mode != ModeFlood && st.started && !st.source && st.nParents == 0
 }
 
 // ConstructionTime returns the §III-D metric behind Figure 13: the time from
@@ -197,11 +191,11 @@ func (p *Protocol) IsOrphan(id wire.StreamID) bool {
 // target number of parents were inactive. ok is false if construction has
 // not completed.
 func (p *Protocol) ConstructionTime(id wire.StreamID) (time.Duration, bool) {
-	st, ok := p.streams[id]
-	if !ok || st.constructedAt.IsZero() {
+	st := p.lookup(id)
+	if st == nil || st.constructedAt == 0 {
 		return 0, false
 	}
-	return st.constructedAt.Sub(st.firstDeactivateAt), true
+	return time.Duration(st.constructedAt - st.firstDeactivateAt), true
 }
 
 func (p *Protocol) emit(ev Event) {
@@ -309,10 +303,9 @@ func (p *Protocol) Receive(from ids.NodeID, m wire.Message) {
 // noteSender records what a payload message (Data or BlobChunk) reveals about
 // the sender's structural position.
 func (p *Protocol) noteSender(st *stream, from ids.NodeID, depth uint16, path []ids.NodeID) {
-	now := p.env.Now()
 	pi := st.info(from)
-	if pi.firstHeard.IsZero() {
-		pi.firstHeard = now
+	if pi.firstHeard == 0 {
+		pi.firstHeard = p.now()
 	}
 	if p.cfg.Mode == ModeDAG {
 		pi.depth = depth
@@ -330,7 +323,7 @@ func (p *Protocol) noteSender(st *stream, from ids.NodeID, depth uint16, path []
 
 func (p *Protocol) onData(from ids.NodeID, m wire.Data) {
 	st := p.getStream(m.Stream)
-	now := p.env.Now()
+	now := p.now()
 
 	// Record what this message reveals about the sender's position.
 	p.noteSender(st, from, m.Depth, m.Path)
@@ -350,12 +343,12 @@ func (p *Protocol) onData(from ids.NodeID, m wire.Data) {
 	}
 	p.emit(Event{Type: EvDeliver, Stream: st.id, Seq: m.Seq, Peer: from})
 	p.deliveries.Emit(Delivery{Stream: st.id, Seq: m.Seq, From: from, Payload: m.Payload})
-	if !st.orphanedAt.IsZero() {
+	if st.orphanedAt != 0 {
 		p.emit(Event{
 			Type: EvRepaired, Stream: st.id, Peer: from,
-			Dur: now.Sub(st.orphanedAt), Hard: st.orphanWasHard,
+			Dur: time.Duration(now - st.orphanedAt), Hard: st.orphanWasHard,
 		})
-		st.orphanedAt = time.Time{}
+		st.orphanedAt = 0
 		st.orphanWasHard = false
 	}
 
@@ -479,7 +472,7 @@ func (p *Protocol) onCycle(st *stream, from ids.NodeID) {
 func (p *Protocol) expel(st *stream, peer ids.NodeID) {
 	p.dropParent(st, peer)
 	p.sendDeactivate(st, peer, false)
-	st.info(peer).cooldownUntil = p.env.Now().Add(readoptCooldown)
+	st.info(peer).cooldownUntil = p.now() + instant(readoptCooldown)
 }
 
 // beginGraceSwitch replaces parent old with new, make-before-break: old's
@@ -491,14 +484,12 @@ func (p *Protocol) beginGraceSwitch(st *stream, old, new ids.NodeID) {
 	p.finalizeGrace(st) // at most one switch in flight
 	p.dropParent(st, old)
 	p.adoptParent(st, new)
-	now := p.env.Now()
 	st.graceParent = old
-	st.graceUntil = now.Add(gracePeriod)
-	st.lastSwitch = now
+	st.graceUntil = p.now() + instant(gracePeriod)
 	id := st.id
 	p.env.After(gracePeriod, func() {
-		s, ok := p.streams[id]
-		if !ok || s.graceParent == ids.Nil || p.env.Now().Before(s.graceUntil) {
+		s := p.lookup(id)
+		if s == nil || s.graceParent == ids.Nil || p.now() < s.graceUntil {
 			return
 		}
 		p.finalizeGrace(s)
@@ -540,8 +531,7 @@ func (p *Protocol) revertGrace(st *stream) bool {
 // hysteresis margin. The dampening keeps symmetric metrics (RTT) from
 // racing pairs of nodes into adopting each other.
 func (p *Protocol) switchWins(st *stream, cand, inc ids.NodeID) bool {
-	now := p.env.Now()
-	if pi := st.known(cand); pi != nil && (pi.parentIsMe || now.Before(pi.cooldownUntil)) {
+	if pi := st.known(cand); pi != nil && (pi.parentIsMe || p.now() < pi.cooldownUntil) {
 		return false
 	}
 	if cand == st.graceParent {
@@ -612,8 +602,8 @@ func (p *Protocol) sendDeactivate(st *stream, to ids.NodeID, symmetric bool) {
 	}
 	st.info(to).facets |= f
 	p.metrics.DeactivationsSent++
-	if st.firstDeactivateAt.IsZero() {
-		st.firstDeactivateAt = p.env.Now()
+	if st.firstDeactivateAt == 0 {
+		st.firstDeactivateAt = p.now()
 	}
 	p.checkConstructed(st)
 }
@@ -626,8 +616,8 @@ func (p *Protocol) onDeactivate(from ids.NodeID, m wire.Deactivate) {
 		// §II-E optimization: the peer also stopped relaying to us, so our
 		// inbound link from it is inactive without a further message.
 		nb.facets |= fInactiveIn
-		if st.firstDeactivateAt.IsZero() {
-			st.firstDeactivateAt = p.env.Now()
+		if st.firstDeactivateAt == 0 {
+			st.firstDeactivateAt = p.now()
 		}
 		p.checkConstructed(st)
 	}
@@ -647,7 +637,7 @@ func (p *Protocol) sendReactivate(st *stream, to ids.NodeID) {
 // checkConstructed records the Figure 13 construction-completion instant:
 // the number of inbound-active links reached the target parent count.
 func (p *Protocol) checkConstructed(st *stream) {
-	if !st.constructedAt.IsZero() || st.firstDeactivateAt.IsZero() || st.source {
+	if st.constructedAt != 0 || st.firstDeactivateAt == 0 || st.source {
 		return
 	}
 	inActive := 0
@@ -657,10 +647,10 @@ func (p *Protocol) checkConstructed(st *stream) {
 		}
 	}
 	if inActive <= p.cfg.Parents {
-		st.constructedAt = p.env.Now()
+		st.constructedAt = p.now()
 		p.emit(Event{
 			Type: EvConstructionDone, Stream: st.id,
-			Dur: st.constructedAt.Sub(st.firstDeactivateAt),
+			Dur: time.Duration(st.constructedAt - st.firstDeactivateAt),
 		})
 	}
 }
@@ -670,7 +660,7 @@ func (p *Protocol) checkConstructed(st *stream) {
 func (p *Protocol) candidate(st *stream, peer ids.NodeID) Candidate {
 	c := Candidate{Peer: peer, RTT: p.cfg.PSS.RTT(peer), Degree: -1}
 	if pi := st.known(peer); pi != nil {
-		c.FirstHeard, c.Uptime, c.Degree = pi.firstHeard, pi.uptime, pi.degree
+		c.FirstHeard, c.Uptime, c.Degree = pi.firstHeard.time(), time.Duration(pi.uptime)*time.Second, int(pi.degree)
 	}
 	return c
 }
@@ -693,7 +683,7 @@ func (p *Protocol) offer(st *stream, peer ids.NodeID) Candidate {
 func (p *Protocol) incumbent(st *stream, peer ids.NodeID) Candidate {
 	c := p.candidate(st, peer)
 	if pi := st.known(peer); pi != nil && pi.facets&fParent != 0 {
-		c.FirstHeard = pi.adoptedAt
+		c.FirstHeard = pi.adoptedAt.time()
 	}
 	return c
 }
@@ -702,7 +692,7 @@ func (p *Protocol) adoptParent(st *stream, peer ids.NodeID) {
 	if st.has(peer, fInactiveIn) {
 		p.sendReactivate(st, peer)
 	}
-	now := p.env.Now()
+	now := p.now()
 	nb := st.info(peer)
 	if nb.facets&fParent == 0 {
 		st.nParents++
@@ -729,7 +719,7 @@ func (p *Protocol) dropParent(st *stream, peer ids.NodeID) {
 // where the exact per-message path check governs adoption (§II-F).
 func (p *Protocol) knownEligible(st *stream, peer ids.NodeID) bool {
 	pi := st.known(peer)
-	if pi == nil || pi.parentIsMe || p.env.Now().Before(pi.cooldownUntil) {
+	if pi == nil || pi.parentIsMe || p.now() < pi.cooldownUntil {
 		return false
 	}
 	switch p.cfg.Mode {
@@ -799,10 +789,9 @@ func (p *Protocol) acquireParents(st *stream) {
 // event sequence, so per-stream side effects must fire in a run-stable
 // order.
 func (p *Protocol) NeighborUp(peer ids.NodeID) {
-	for _, id := range p.StreamIDs() {
-		st := p.streams[id]
+	for _, st := range p.streams {
 		st.forget(peer) // fresh node, fresh links: both directions active
-		if !st.orphanedAt.IsZero() || (p.cfg.Mode == ModeDAG && st.started && !st.source && st.nParents < p.cfg.Parents) {
+		if st.orphanedAt != 0 || (p.cfg.Mode == ModeDAG && st.started && !st.source && st.nParents < p.cfg.Parents) {
 			p.acquireParents(st)
 		}
 	}
@@ -812,8 +801,7 @@ func (p *Protocol) NeighborUp(peer ids.NodeID) {
 // handling). Ascending stream order for the same reason as NeighborUp: the
 // repair sends below must not fire in randomized map order.
 func (p *Protocol) NeighborDown(peer ids.NodeID) {
-	for _, id := range p.StreamIDs() {
-		st := p.streams[id]
+	for _, st := range p.streams {
 		wasParent := st.drop(peer)
 		if st.graceParent == peer {
 			st.graceParent = ids.Nil
@@ -842,11 +830,11 @@ func (p *Protocol) becameParentless(st *stream, cause ids.NodeID) {
 	if st.source || !st.started || p.cfg.Mode == ModeFlood || st.nParents > 0 {
 		return
 	}
-	if !st.orphanedAt.IsZero() {
+	if st.orphanedAt != 0 {
 		return // already mid-repair
 	}
 	p.metrics.Orphans++
-	st.orphanedAt = p.env.Now()
+	st.orphanedAt = p.now()
 	st.orphanWasHard = false
 	p.emit(Event{Type: EvOrphan, Stream: st.id, Peer: cause})
 	p.repairOrAcquire(st, cause)
@@ -985,8 +973,8 @@ func (p *Protocol) maybeRecoverGaps(st *stream, from ids.NodeID, seq uint32) {
 	if !any {
 		return
 	}
-	now := p.env.Now()
-	if now.Sub(st.lastRecovery) < recoveryMinInterval {
+	now := p.now()
+	if time.Duration(now-st.lastRecovery) < recoveryMinInterval {
 		return
 	}
 	st.lastRecovery = now
@@ -1024,16 +1012,16 @@ func (p *Protocol) checkProgress(st *stream, peer ids.NodeID, peerUpTo uint32) {
 	if st.source || !st.started || p.cfg.Mode == ModeFlood || peerUpTo <= st.contigUpTo {
 		return
 	}
-	now := p.env.Now()
+	now := p.now()
 	// Only act when the node has been idle for a while: during normal flow
 	// a receiver always trails its upstream by one propagation delay, and
 	// requesting that in-flight window would just manufacture duplicates.
 	catchupIdle := stallTimeout / 3
-	if now.Sub(st.lastDeliveredAt) < catchupIdle {
+	if time.Duration(now-st.lastDeliveredAt) < catchupIdle {
 		return
 	}
 	// Catch-up: pull the missing window from the neighbor reporting it.
-	if now.Sub(st.lastRecovery) >= recoveryMinInterval {
+	if time.Duration(now-st.lastRecovery) >= recoveryMinInterval {
 		st.lastRecovery = now
 		hi := peerUpTo
 		if max := st.contigUpTo + uint32(bufferSize); hi > max {
@@ -1044,7 +1032,7 @@ func (p *Protocol) checkProgress(st *stream, peer ids.NodeID, peerUpTo uint32) {
 	}
 	// Stall repair: the structure stopped feeding us while the stream
 	// demonstrably advances.
-	if st.nParents == 0 || now.Sub(st.lastParentDelivery) < stallTimeout {
+	if st.nParents == 0 || time.Duration(now-st.lastParentDelivery) < stallTimeout {
 		return
 	}
 	p.metrics.StallRepairs++

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/ids"
 	"repro/internal/wire"
 )
 
@@ -246,63 +245,6 @@ func TestStrategyTieBreakIsDeterministic(t *testing.T) {
 	b := Candidate{Peer: 2, RTT: time.Millisecond}
 	if !better(DelayAware{}, a, b) || better(DelayAware{}, b, a) {
 		t.Error("ties must break toward the lower id")
-	}
-}
-
-// ----------------------------------------------------------- piggyback
-
-func TestPiggybackRoundTrip(t *testing.T) {
-	entries := []piggyStream{
-		{stream: 1, depth: 4, uptime: 77, degree: 3, upTo: 99,
-			parents: []ids.NodeID{5}, path: []ids.NodeID{1, 2, 3}},
-		{stream: 2, depth: wire.NoDepth, uptime: 0, degree: 0, upTo: 0},
-	}
-	blob := appendPiggyback(nil, entries)
-	got, err := new(Protocol).decodePiggyback(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d entries", len(got))
-	}
-	if got[0].depth != 4 || got[0].upTo != 99 || len(got[0].path) != 3 || got[0].parents[0] != 5 {
-		t.Errorf("entry 0 mismatch: %+v", got[0])
-	}
-	if got[1].depth != wire.NoDepth {
-		t.Errorf("entry 1 depth = %d", got[1].depth)
-	}
-}
-
-func TestPiggybackRejectsTruncation(t *testing.T) {
-	blob := appendPiggyback(nil, []piggyStream{{stream: 1, path: []ids.NodeID{1, 2}}})
-	for cut := 1; cut < len(blob); cut++ {
-		if _, err := new(Protocol).decodePiggyback(blob[:cut]); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-}
-
-func TestQuickPiggybackRoundTrip(t *testing.T) {
-	f := func(stream uint32, depth uint16, uptime uint32, degree uint16, upTo uint32, seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		path := make([]ids.NodeID, r.Intn(10))
-		for i := range path {
-			path[i] = ids.NodeID(r.Uint64() & uint64(ids.MaxID))
-		}
-		in := []piggyStream{{
-			stream: wire.StreamID(stream), depth: depth, uptime: uptime,
-			degree: degree, upTo: upTo, path: path,
-		}}
-		out, err := new(Protocol).decodePiggyback(appendPiggyback(nil, in))
-		if err != nil || len(out) != 1 {
-			return false
-		}
-		return out[0].stream == in[0].stream && out[0].depth == depth &&
-			out[0].uptime == uptime && out[0].degree == degree &&
-			out[0].upTo == upTo && len(out[0].path) == len(path)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 // meaning each container had: absent from peers is not the same as absent
 // from cooldown. The table must answer every question as these do.
 type sixMaps struct {
-	parents     map[ids.NodeID]time.Time
-	firstHeard  map[ids.NodeID]time.Time
+	parents     map[ids.NodeID]instant
+	firstHeard  map[ids.NodeID]instant
 	peers       map[ids.NodeID]*modelInfo
-	cooldown    map[ids.NodeID]time.Time
+	cooldown    map[ids.NodeID]instant
 	inactiveIn  map[ids.NodeID]bool
 	outInactive map[ids.NodeID]bool
 }
@@ -26,14 +26,14 @@ type modelInfo struct {
 	depth                            uint16
 	pathHasMe, pathKnown, parentIsMe bool
 	lastHop                          ids.NodeID
-	uptime                           time.Duration
-	degree                           int
+	uptime                           uint32
+	degree                           int32
 }
 
 func newSixMaps() *sixMaps {
 	return &sixMaps{
-		parents: map[ids.NodeID]time.Time{}, firstHeard: map[ids.NodeID]time.Time{},
-		peers: map[ids.NodeID]*modelInfo{}, cooldown: map[ids.NodeID]time.Time{},
+		parents: map[ids.NodeID]instant{}, firstHeard: map[ids.NodeID]instant{},
+		peers: map[ids.NodeID]*modelInfo{}, cooldown: map[ids.NodeID]instant{},
 		inactiveIn: map[ids.NodeID]bool{}, outInactive: map[ids.NodeID]bool{},
 	}
 }
@@ -54,8 +54,8 @@ func (m *sixMaps) forget(peer ids.NodeID) {
 }
 
 // knownEligible is Protocol.knownEligible as it read over the maps.
-func (m *sixMaps) knownEligible(mode Mode, own uint16, now time.Time, peer ids.NodeID) bool {
-	if until, ok := m.cooldown[peer]; ok && now.Before(until) {
+func (m *sixMaps) knownEligible(mode Mode, own uint16, now instant, peer ids.NodeID) bool {
+	if until, ok := m.cooldown[peer]; ok && now < until {
 		return false
 	}
 	pi, ok := m.peers[peer]
@@ -86,7 +86,7 @@ func TestNeighborTableAgainstSixMaps(t *testing.T) {
 			}
 			for op := 0; op < 400; op++ {
 				net.now = net.now.Add(time.Duration(r.Intn(3)) * time.Second)
-				now := net.now
+				now := instant(net.now.UnixNano())
 				peer := ids.NodeID(2 + r.Intn(universe))
 				switch r.Intn(13) {
 				case 0, 1: // a payload message from peer
@@ -105,7 +105,7 @@ func TestNeighborTableAgainstSixMaps(t *testing.T) {
 						pi.pathHasMe, pi.pathKnown, pi.lastHop = ids.Contains(path, self), true, path[len(path)-2]
 					}
 				case 2: // what a piggyback from peer sets
-					up, deg, mine := time.Duration(r.Intn(90))*time.Second, r.Intn(8), r.Intn(4) == 0
+					up, deg, mine := uint32(r.Intn(90)), int32(r.Intn(8)), r.Intn(4) == 0
 					pi, mi := st.info(peer), m.info(peer)
 					pi.uptime, pi.degree, pi.parentIsMe = up, deg, mine
 					mi.uptime, mi.degree, mi.parentIsMe = up, deg, mine
@@ -137,14 +137,14 @@ func TestNeighborTableAgainstSixMaps(t *testing.T) {
 					p.sendReactivate(st, peer)
 					delete(m.inactiveIn, peer)
 				case 9: // barred, or a bar already over
-					until := now.Add(time.Duration(r.Intn(5)-1) * time.Second)
+					until := now + instant(time.Duration(r.Intn(5)-1)*time.Second)
 					st.info(peer).cooldownUntil = until
 					m.cooldown[peer] = until
 				case 10: // forget leaves the parent set to its caller
 					st.forget(peer)
 					m.forget(peer)
 				case 11: // the peer left the view: NeighborDown's bookkeeping
-					if got, want := st.drop(peer), !m.parents[peer].IsZero(); got != want {
+					if got, want := st.drop(peer), m.parents[peer] != 0; got != want {
 						t.Fatalf("drop(%d) = %v, want %v", peer, got, want)
 					}
 					st.forget(peer)
@@ -186,7 +186,7 @@ func compareWithSixMaps(t *testing.T, p *Protocol, st *stream, m *sixMaps, unive
 	if first := st.firstParent(); len(want) == 0 && first != ids.Nil || len(want) > 0 && first != want[0] {
 		t.Fatalf("firstParent = %d, parents %v", first, want)
 	}
-	now := p.env.Now()
+	now := p.now()
 	for id := ids.NodeID(2); id < ids.NodeID(2+universe); id++ {
 		_, parent := m.parents[id]
 		if st.isParent(id) != parent || st.has(id, fInactiveIn) != m.inactiveIn[id] || st.has(id, fOutInactive) != m.outInactive[id] {
@@ -200,22 +200,27 @@ func compareWithSixMaps(t *testing.T, p *Protocol, st *stream, m *sixMaps, unive
 			info = *mi
 		}
 		var got modelInfo
-		var cooldown time.Time
+		var cooldown instant
 		if nb := st.known(id); nb == nil {
 			got = modelInfo{depth: wire.NoDepth, degree: -1}
 		} else {
 			got = modelInfo{nb.depth, nb.pathHasMe, nb.pathKnown, nb.parentIsMe, nb.lastHop, nb.uptime, nb.degree}
 			cooldown = nb.cooldownUntil
 		}
-		if got != info || !cooldown.Equal(m.cooldown[id]) {
+		if got != info || cooldown != m.cooldown[id] {
 			t.Fatalf("peer %d: info %+v cooldown %v, want %+v %v", id, got, cooldown, info, m.cooldown[id])
 		}
-		cand := Candidate{Peer: id, FirstHeard: m.firstHeard[id], Uptime: info.uptime, Degree: info.degree}
+		// A strategy reads a first-heard instant as its UnixNano, and never
+		// as a zero time.Time.
+		cand := Candidate{Peer: id, Uptime: time.Duration(info.uptime) * time.Second, Degree: int(info.degree)}
+		if at, ok := m.firstHeard[id]; ok {
+			cand.FirstHeard = time.Unix(0, int64(at))
+		}
 		if c := p.candidate(st, id); c != cand {
 			t.Fatalf("candidate(%d) = %+v, want %+v", id, c, cand)
 		}
 		if parent {
-			cand.FirstHeard = m.parents[id]
+			cand.FirstHeard = time.Unix(0, int64(m.parents[id]))
 		}
 		if c := p.incumbent(st, id); c != cand {
 			t.Fatalf("incumbent(%d) = %+v, want %+v", id, c, cand)
@@ -234,8 +239,8 @@ func TestNeighborRecordMovesOnInsert(t *testing.T) {
 	for _, room := range []int{1, 4} {
 		st := newStream(1, room)
 		early := st.info(9)
-		early.uptime = time.Minute
-		early.facets, early.adoptedAt, st.nParents = fParent, time.Unix(5, 0), 1
+		early.uptime = 60
+		early.facets, early.adoptedAt, st.nParents = fParent, instant(5e9), 1
 
 		st.info(3).degree = 2 // shifts 9's record up, or moves the table
 
@@ -244,7 +249,7 @@ func TestNeighborRecordMovesOnInsert(t *testing.T) {
 		}
 		st.info(9).degree = 7
 		nine, three := st.known(9), st.known(3)
-		if nine.uptime != time.Minute || nine.degree != 7 || nine.facets != fParent || !nine.adoptedAt.Equal(time.Unix(5, 0)) {
+		if nine.uptime != 60 || nine.degree != 7 || nine.facets != fParent || nine.adoptedAt != 5e9 {
 			t.Errorf("room %d: peer 9 = %+v after the insert", room, *nine)
 		}
 		if want := (neighbor{id: 3, depth: wire.NoDepth, degree: 2}); *three != want {

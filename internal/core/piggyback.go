@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"time"
 
 	"repro/internal/blob"
@@ -30,6 +29,10 @@ import (
 // broadcast, and bitmaps are the piggyback's largest variable cost.
 const maxPiggyBlobs = 2
 
+// maxPiggyStreams bounds the entries of one piggyback to what its u8 count
+// can say; a node with more streams advertises the lowest ids.
+const maxPiggyStreams = 255
+
 // piggyBlob is one blob possession advertisement: the geometry (so a node
 // that never saw a chunk can initialize reassembly state) plus the bitmap.
 type piggyBlob struct {
@@ -40,133 +43,12 @@ type piggyBlob struct {
 	bitmap    []byte
 }
 
-type piggyStream struct {
-	stream  wire.StreamID
-	depth   uint16
-	uptime  uint32
-	degree  uint16
-	upTo    uint32 // contiguous delivery progress (stall detection/catch-up)
-	parents []ids.NodeID
-	path    []ids.NodeID
-	blobs   [maxPiggyBlobs]piggyBlob
-	nBlobs  int
-}
+// advertised reports whether the piggyback carries an entry for st.
+func advertised(st *stream) bool { return st.started || len(st.blobs) > 0 }
 
-// appendPiggyback appends the encoded entries to dst.
-func appendPiggyback(dst []byte, entries []piggyStream) []byte {
-	e := wire.Encoder{B: dst}
-	e.U8(uint8(len(entries)))
-	for _, it := range entries {
-		e.U32(uint32(it.stream))
-		e.U16(it.depth)
-		e.U32(it.uptime)
-		e.U16(it.degree)
-		e.U32(it.upTo)
-		e.NodeIDs(it.parents)
-		e.NodeIDs(it.path)
-		e.U8(uint8(it.nBlobs))
-		for _, ad := range it.blobs[:it.nBlobs] {
-			e.U32(ad.id)
-			e.U16(ad.k)
-			e.U16(ad.n)
-			e.U32(ad.size)
-			e.U32(ad.chunkSize)
-			e.Bytes(ad.bitmap)
-		}
-	}
-	return e.B
-}
-
-// decodePiggyback parses pb into the protocol's reused scratch buffers
-// (entries and the identifier arena both survive only until the next call;
-// blob ad bitmaps alias pb itself); a piggyback arrives with every
-// keep-alive, so this path must not allocate.
-func (p *Protocol) decodePiggyback(pb []byte) ([]piggyStream, error) {
-	d := wire.Decoder{B: pb}
-	n := int(d.U8())
-	out := p.pbEntries[:0]
-	arena := p.pbIDs[:0]
-	for i := 0; i < n; i++ {
-		it := piggyStream{
-			stream: wire.StreamID(d.U32()),
-			depth:  d.U16(),
-			uptime: d.U32(),
-			degree: d.U16(),
-			upTo:   d.U32(),
-		}
-		arena, it.parents = d.NodeIDsAppend(arena)
-		arena, it.path = d.NodeIDsAppend(arena)
-		nAds := int(d.U8())
-		for j := 0; j < nAds; j++ {
-			ad := piggyBlob{
-				id:        d.U32(),
-				k:         d.U16(),
-				n:         d.U16(),
-				size:      d.U32(),
-				chunkSize: d.U32(),
-				bitmap:    d.Bytes(),
-			}
-			// Hostile counts beyond our own bound are consumed (to keep the
-			// stream entries that follow decodable) but not kept.
-			if j < maxPiggyBlobs {
-				it.blobs[j] = ad
-				it.nBlobs = j + 1
-			}
-		}
-		out = append(out, it)
-	}
-	p.pbEntries = out[:0]
-	p.pbIDs = arena[:0]
-	return out, d.Finish()
-}
-
-// PiggybackBlob encodes this node's per-stream structural state for
-// inclusion in outgoing keep-alives. Wire through
-// hyparview.Config.Piggyback, which asks once per heartbeat round. The state
-// is encoded into a reused scratch and an exact-size copy is returned: blobs
-// handed to Env.Send are aliased by in-flight messages (and by receivers'
-// decodePiggyback on the simulator) and are never written again.
-func (p *Protocol) PiggybackBlob() []byte {
-	if len(p.streams) == 0 {
-		return nil
-	}
-	entries, parents := p.pbOut[:0], p.pbParents[:0]
-	sids := p.appendStreamIDs(p.sidScratch[:0])
-	p.sidScratch = sids[:0]
-	for _, id := range sids {
-		st := p.streams[id]
-		if !st.started && len(st.blobs) == 0 {
-			continue
-		}
-		uptime := p.env.Now().Sub(p.startedAt)
-		mine := len(parents)
-		parents = st.appendParents(parents)
-		it := piggyStream{
-			stream:  st.id,
-			depth:   st.depth,
-			uptime:  uint32(uptime / time.Second),
-			degree:  uint16(p.childCount(st)),
-			upTo:    st.contigUpTo,
-			parents: parents[mine:],
-			path:    st.myPath,
-		}
-		p.adBlobs(st, &it)
-		entries = append(entries, it)
-	}
-	p.pbOut, p.pbParents = entries[:0], parents[:0]
-	if len(entries) == 0 {
-		return nil
-	}
-	p.pbScratch = appendPiggyback(p.pbScratch[:0], entries)
-	return bytes.Clone(p.pbScratch)
-}
-
-// adBlobs fills the entry's possession advertisements: the two most recent
-// (highest-id) blobs, ascending — the ones most likely still spreading.
-func (p *Protocol) adBlobs(st *stream, it *piggyStream) {
-	if len(st.blobs) == 0 {
-		return
-	}
+// adBlobs returns the blobs st's entry advertises: the two most recent
+// (highest-id), ascending — the ones most likely still spreading.
+func adBlobs(st *stream) (ads [maxPiggyBlobs]uint32, n int) {
 	var lo, hi uint32 // two highest ids; blob ids start at 1
 	//brisa:orderinvariant top-2 max-tracking commutes: the two highest ids are the same whatever the visit order
 	for bid := range st.blobs {
@@ -177,30 +59,147 @@ func (p *Protocol) adBlobs(st *stream, it *piggyStream) {
 		}
 	}
 	for _, bid := range [...]uint32{lo, hi} {
-		if bid == 0 {
+		if bid != 0 {
+			ads[n] = bid
+			n++
+		}
+	}
+	return ads, n
+}
+
+// entrySize is the encoded size of st's entry: the fixed fields, the two
+// identifier lists, the ad count and each ad with its bitmap.
+func entrySize(st *stream) int {
+	size := 16 + 2 + st.nParents*ids.WireSize + 2 + len(st.myPath)*ids.WireSize + 1
+	ads, n := adBlobs(st)
+	for _, bid := range ads[:n] {
+		size += 20 + len(st.blobs[bid].have)
+	}
+	return size
+}
+
+// PiggybackBlob encodes this node's per-stream structural state for
+// inclusion in outgoing keep-alives. Wire through
+// hyparview.Config.Piggyback, which asks once per heartbeat round. The state
+// is sized first and then encoded into one exact-size slice: blobs handed to
+// Env.Send are aliased by in-flight messages (and read in place by
+// receivers on the simulator) and are never written again.
+func (p *Protocol) PiggybackBlob() []byte {
+	size, n := 1, 0
+	for _, st := range p.streams {
+		if n < maxPiggyStreams && advertised(st) {
+			size += entrySize(st)
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	uptime := uint32(time.Duration(p.now()-p.startedAt) / time.Second)
+	e := wire.Encoder{B: make([]byte, 0, size)}
+	e.U8(uint8(n))
+	for _, st := range p.streams {
+		if n == 0 || !advertised(st) {
 			continue
 		}
-		b := st.blobs[bid]
-		it.blobs[it.nBlobs] = piggyBlob{
-			id: bid, k: uint16(b.k), n: uint16(b.n),
-			size: uint32(b.size), chunkSize: uint32(b.chunkSize),
-			bitmap: b.have,
+		n-- // exactly the entries sized above
+		e.U32(uint32(st.id))
+		e.U16(st.depth)
+		e.U32(uptime)
+		e.U16(uint16(p.childCount(st)))
+		e.U32(st.contigUpTo)
+		e.U16(uint16(st.nParents))
+		for i := range st.nbrs {
+			if st.nbrs[i].facets&fParent != 0 {
+				e.NodeID(st.nbrs[i].id)
+			}
 		}
-		it.nBlobs++
+		e.NodeIDs(st.myPath)
+		ads, nAds := adBlobs(st)
+		e.U8(uint8(nAds))
+		for _, bid := range ads[:nAds] {
+			b := st.blobs[bid]
+			e.U32(bid)
+			e.U16(uint16(b.k))
+			e.U16(uint16(b.n))
+			e.U32(uint32(b.size))
+			e.U32(uint32(b.chunkSize))
+			e.Bytes(b.have)
+		}
+	}
+	return e.B
+}
+
+// pbEntry is a stream entry up to its blob ads, read in place: of the
+// parent and path lists only whether they hold the reader is kept.
+type pbEntry struct {
+	stream                wire.StreamID
+	depth, degree         uint16
+	uptime, upTo          uint32
+	parentIsMe, pathHasMe bool
+	nAds                  int
+}
+
+// readEntry reads the next entry up to its blob ads.
+func readEntry(d *wire.Decoder, me ids.NodeID) pbEntry {
+	return pbEntry{ // fields in wire order: a literal evaluates left to right
+		stream:     wire.StreamID(d.U32()),
+		depth:      d.U16(),
+		uptime:     d.U32(),
+		degree:     d.U16(),
+		upTo:       d.U32(),
+		parentIsMe: readHas(d, me),
+		pathHasMe:  readHas(d, me),
+		nAds:       int(d.U8()),
 	}
 }
 
-// HandlePiggyback ingests a neighbor's keep-alive piggyback. Wire through
-// hyparview.Config.OnPiggyback.
-func (p *Protocol) HandlePiggyback(peer ids.NodeID, pb []byte) {
-	entries, err := p.decodePiggyback(pb)
-	if err != nil {
-		return // a malformed piggyback from a peer is ignored, not fatal
+// readHas reads a u16-prefixed identifier list and reports whether it
+// holds id.
+func readHas(d *wire.Decoder, id ids.NodeID) bool {
+	has := false
+	for n := d.U16(); n > 0 && d.Err == nil; n-- {
+		has = d.NodeID() == id || has
 	}
-	for _, it := range entries {
-		st, ok := p.streams[it.stream]
-		if !ok {
-			if it.nBlobs == 0 {
+	return has
+}
+
+// readAd reads one blob ad; its bitmap aliases the piggyback.
+func readAd(d *wire.Decoder) piggyBlob {
+	return piggyBlob{
+		id:        d.U32(),
+		k:         d.U16(),
+		n:         d.U16(),
+		size:      d.U32(),
+		chunkSize: d.U32(),
+		bitmap:    d.Bytes(),
+	}
+}
+
+// validPiggyback reads pb to its end and reports whether it is well formed.
+func validPiggyback(pb []byte) bool {
+	d := wire.Decoder{B: pb}
+	for n := d.U8(); n > 0; n-- {
+		for ads := readEntry(&d, ids.Nil).nAds; ads > 0; ads-- {
+			readAd(&d)
+		}
+	}
+	return d.Finish() == nil
+}
+
+// HandlePiggyback ingests a neighbor's keep-alive piggyback. Wire through
+// hyparview.Config.OnPiggyback. A piggyback arrives with every keep-alive,
+// so it is read in place: once to validate it, once to apply it.
+func (p *Protocol) HandlePiggyback(peer ids.NodeID, pb []byte) {
+	if !validPiggyback(pb) {
+		return // a malformed piggyback from a peer is ignored whole, not fatal
+	}
+	d := wire.Decoder{B: pb}
+	for n := d.U8(); n > 0; n-- {
+		it := readEntry(&d, p.env.ID())
+		st := p.lookup(it.stream)
+		if st == nil {
+			if it.nAds == 0 {
 				continue
 			}
 			// A late joiner learns of a blob stream purely from possession
@@ -208,12 +207,8 @@ func (p *Protocol) HandlePiggyback(peer ids.NodeID, pb []byte) {
 			st = p.getStream(it.stream)
 		}
 		pi := st.info(peer)
-		pi.depth = it.depth
-		pi.uptime = time.Duration(it.uptime) * time.Second
-		pi.degree = int(it.degree)
-		pi.pathHasMe = ids.Contains(it.path, p.env.ID())
-		pi.pathKnown = true
-		pi.parentIsMe = ids.Contains(it.parents, p.env.ID())
+		pi.depth, pi.uptime, pi.degree = it.depth, it.uptime, int32(it.degree)
+		pi.pathHasMe, pi.pathKnown, pi.parentIsMe = it.pathHasMe, true, it.parentIsMe
 		// A parent whose label drifted to or below ours must be followed
 		// or dropped; fresh eligibility info may also unblock parent
 		// acquisition (a DAG node below target, a tree node mid-repair).
@@ -222,9 +217,11 @@ func (p *Protocol) HandlePiggyback(peer ids.NodeID, pb []byte) {
 		// The progress report drives catch-up and stall detection.
 		p.checkProgress(st, peer, it.upTo)
 		// Possession ads drive pull repair (blob.go): request advertised
-		// chunks we miss.
-		for _, ad := range it.blobs[:it.nBlobs] {
-			if ad.id == 0 || !validBlobGeometry(ad.k, ad.n, ad.size, ad.chunkSize) {
+		// chunks we miss. Hostile counts beyond our own bound are read
+		// past but not acted on.
+		for j := 0; j < it.nAds; j++ {
+			ad := readAd(&d)
+			if j >= maxPiggyBlobs || ad.id == 0 || !validBlobGeometry(ad.k, ad.n, ad.size, ad.chunkSize) {
 				continue
 			}
 			b := p.ensureBlob(st, ad.id, int(ad.k), int(ad.n), int(ad.size), int(ad.chunkSize))

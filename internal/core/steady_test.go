@@ -30,8 +30,9 @@ func newSettledTree(t *testing.T, children ...ids.NodeID) (*Protocol, *testNet, 
 
 // TestSteadyStateAllocs pins the settled tree's cost: a new Data from the
 // parent is delivered and relayed with no allocation on a leaf and exactly
-// one — the boxed message all children share — on an interior node, and a
-// piggyback costs exactly one, the exact-size copy that is handed out.
+// one — the boxed message all children share — on an interior node; a
+// piggyback costs exactly one, the exact-size slice that is handed out, and
+// reading one, which happens with every keep-alive, costs none.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -63,6 +64,13 @@ func TestSteadyStateAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(200, func() { p.PiggybackBlob() }); got != 1 {
 			t.Errorf("%s: %v allocs per PiggybackBlob, want exactly 1", tc.name, got)
 		}
+		pb := p.PiggybackBlob()
+		if got := testing.AllocsPerRun(200, func() { p.HandlePiggyback(2, pb) }); got != 0 {
+			t.Errorf("%s: %v allocs per HandlePiggyback, want 0", tc.name, got)
+		}
+		if nb := p.lookup(1).known(2); nb == nil || !nb.pathKnown {
+			t.Fatalf("%s: harness broken: the piggyback was not applied", tc.name)
+		}
 	}
 }
 
@@ -72,7 +80,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 // re-parent or a state change replaces it and never writes into it.
 func TestSentSlicesAreImmutable(t *testing.T) {
 	p, net, msg := newSettledTree(t, 3, 4)
-	st := p.streams[1]
+	st := p.lookup(1)
 	sent := net.queue[len(net.queue)-1].m.(wire.Data).Path
 	want := []ids.NodeID{100, 101, 2, 1}
 	if !slices.Equal(sent, want) {

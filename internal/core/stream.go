@@ -17,21 +17,30 @@ const (
 	fOutInactive                   // the peer deactivated our link to it (or symmetric)
 )
 
+// instant is a reading of the node's clock in Unix nanoseconds, hyparview's
+// heartbeat clock; 0 means never, which no reading is (the simulator's epoch
+// is Unix 10⁹ s, a wall clock is never 0). An interval from never, now - 0,
+// is above every threshold, as time.Sub from a zero time.Time is.
+type instant int64
+
+// time returns t as a time.Time, the zero one for never. Exact for the
+// UnixNano that strategies score.
+func (t instant) time() time.Time {
+	if t == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(t))
+}
+
 // neighbor is all a stream remembers about one peer: the sets it is in and
 // what we last learned about its position in the stream's structure — from
 // its data messages and from keep-alive piggybacks. Soft repair (§II-F) uses
 // this to pick an eligible replacement parent with local knowledge only. A
 // record made for one reason leaves every other field at the value readers
 // take as never learned: a cooldown does not make a position look known.
+// The fields are ordered so the record packs into 56 bytes.
 type neighbor struct {
-	id        ids.NodeID
-	facets    facet
-	depth     uint16 // DAG depth label; wire.NoDepth if unknown
-	pathHasMe bool   // tree: the last path seen from this peer contains us
-	pathKnown bool
-	// parentIsMe reports that the peer's last piggyback listed us among
-	// its parents — adopting it would close a direct two-node cycle.
-	parentIsMe bool
+	id ids.NodeID
 	// lastHop is the peer's upstream node in the last path seen from it
 	// (tree mode). Repair uses it to refuse candidates that were fed by the
 	// node that just failed: two siblings of a dead parent would otherwise
@@ -39,13 +48,20 @@ type neighbor struct {
 	// that carries no data — invisible to the exact path check, and, with
 	// piggybacks disabled, to the stall detector too.
 	lastHop    ids.NodeID
-	uptime     time.Duration
-	degree     int       // -1 if unknown
-	adoptedAt  time.Time // when the peer became a parent (with fParent)
-	firstHeard time.Time // first data reception; zero if none yet
+	adoptedAt  instant // when the peer became a parent (with fParent)
+	firstHeard instant // first data reception; 0 if none yet
 	// cooldownUntil bars a peer dropped by cycle detection or stall repair
 	// from proactive re-adoption until that instant.
-	cooldownUntil time.Time
+	cooldownUntil instant
+	uptime        uint32 // piggybacked uptime in seconds; 0 if unknown
+	degree        int32  // piggybacked outgoing degree; -1 if unknown
+	depth         uint16 // DAG depth label; wire.NoDepth if unknown
+	facets        facet
+	pathHasMe     bool // tree: the last path seen from this peer contains us
+	pathKnown     bool
+	// parentIsMe reports that the peer's last piggyback listed us among
+	// its parents — adopting it would close a direct two-node cycle.
+	parentIsMe bool
 }
 
 // seqWindow is a compacting bitset over the out-of-order delivered sequence
@@ -181,22 +197,20 @@ type stream struct {
 	myPath   []ids.NodeID // path from source to us incl. us (tree)
 
 	// --- repair state ---
-	orphanedAt    time.Time // non-zero while disconnected from the structure
+	orphanedAt    instant // non-zero while disconnected from the structure
 	orphanWasHard bool
-	lastRecovery  time.Time
+	lastRecovery  instant
 	// lastParentDelivery is the last time a current parent delivered a new
 	// message; used by the stall detector.
-	lastParentDelivery time.Time
+	lastParentDelivery instant
 	// lastDeliveredAt is the last time any new message was delivered; used
 	// to gate piggyback-driven catch-up on genuine idleness.
-	lastDeliveredAt time.Time
-	// lastSwitch rate-limits strategy-driven parent switches.
-	lastSwitch time.Time
+	lastDeliveredAt instant
 	// graceParent is the previous parent during a make-before-break
 	// switch: its inbound link stays active until graceUntil so the node
 	// can revert if the new parent turns out to sit in its own subtree.
 	graceParent ids.NodeID
-	graceUntil  time.Time
+	graceUntil  instant
 
 	// --- buffering ---
 	// ring keeps payloads for retransmission: slot seq % len(ring) holds
@@ -216,8 +230,8 @@ type stream struct {
 	blobStats      BlobStats
 
 	// --- construction-time tracking (Figure 13) ---
-	firstDeactivateAt time.Time
-	constructedAt     time.Time
+	firstDeactivateAt instant
+	constructedAt     instant
 }
 
 // newStream returns an empty stream with room for the active view's peers.
