@@ -144,7 +144,7 @@ type Config struct {
 	// (plain epidemic flooding, no structure emergence); set ModeTree or
 	// ModeDAG for the paper's main configurations, or one of the baseline
 	// modes to run a comparison system in BRISA's place (simulator only;
-	// Parents, Strategy and HyParView must stay unset).
+	// Parents and Strategy must stay unset).
 	Mode Mode
 	// Parents is the DAG parent target (default 2 in ModeDAG).
 	Parents int
@@ -156,9 +156,6 @@ type Config struct {
 	ViewSize int
 	// ExpansionFactor lets the active view stretch (default 2, §II-A).
 	ExpansionFactor float64
-	// HyParView, when non-nil, overrides the derived PSS configuration
-	// entirely (ViewSize/ExpansionFactor are then ignored).
-	HyParView *hyparview.Config
 	// OnDeliver receives every message the peer receives from another
 	// node; the peer's own publishes are not receptions and never reach
 	// it. It runs on the peer's actor, first among the delivery listeners
@@ -187,8 +184,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("brisa: Mode %v selects no parents, got Parents=%d", c.Mode, c.Parents)
 	case c.Strategy != nil:
 		return fmt.Errorf("brisa: Mode %v selects no parents, got Strategy %T", c.Mode, c.Strategy)
-	case c.HyParView != nil:
-		return fmt.Errorf("brisa: Mode %v runs no HyParView, got a HyParView override", c.Mode)
 	}
 	if c.Parents < 0 {
 		return fmt.Errorf("brisa: Parents must not be negative, got %d", c.Parents)
@@ -310,13 +305,9 @@ func newPeer(id NodeID, cfg Config, nodes int) (*Peer, error) {
 	}
 
 	hvCfg := hyparview.DefaultConfig()
-	if cfg.HyParView != nil {
-		hvCfg = *cfg.HyParView
-	} else {
-		hvCfg.ActiveSize = cfg.ViewSize
-		hvCfg.ExpansionFactor = cfg.ExpansionFactor
-		hvCfg.PassiveSize = 6 * cfg.ViewSize
-	}
+	hvCfg.ActiveSize = cfg.ViewSize
+	hvCfg.ExpansionFactor = cfg.ExpansionFactor
+	hvCfg.PassiveSize = 6 * cfg.ViewSize
 
 	var bp *core.Protocol // captured by the callbacks below
 	hvCfg.OnNeighborUp = func(peer NodeID) { bp.NeighborUp(peer) }

@@ -12,10 +12,10 @@ import (
 )
 
 // DistConfig is the JSON-serializable subset of Config a distributed worker
-// process can be handed: Config carries function values (Strategy, callbacks,
-// HyParView overrides) that cannot cross a process boundary, so DistRuntime
-// lowers each peer's derived Config onto this shape and the worker lifts it
-// back. Strategies travel by name.
+// process can be handed: Config carries function values (Strategy and
+// callbacks) that cannot cross a process boundary, so DistRuntime lowers each
+// peer's derived Config onto this shape and the worker lifts it back.
+// Strategies travel by name.
 type DistConfig struct {
 	Mode                         Mode    `json:"mode"`
 	Parents                      int     `json:"parents,omitempty"`
@@ -65,9 +65,6 @@ func distStrategyOf(name string) (Strategy, error) {
 // distConfigOf lowers a peer Config onto its serializable form, or reports
 // why it cannot run remotely (function-valued fields have no wire form).
 func distConfigOf(cfg Config) (DistConfig, error) {
-	if cfg.HyParView != nil {
-		return DistConfig{}, fmt.Errorf("brisa: dist: HyParView override cannot cross a process boundary")
-	}
 	if cfg.OnDeliver != nil || cfg.OnEvent != nil {
 		return DistConfig{}, fmt.Errorf("brisa: dist: OnDeliver/OnEvent callbacks cannot cross a process boundary")
 	}

@@ -23,7 +23,9 @@
 package hyparview
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/ids"
@@ -112,26 +114,36 @@ type dial struct {
 	started  time.Time
 }
 
-// neighbor is one active-view entry. heardAt and peerSentAt are what the
-// next heartbeat echoes: this node's clock when the peer's last heartbeat
-// arrived and the SentAt it carried, both in nanoseconds. peerSentAt is 0
-// when there is nothing to echo: no heartbeat yet, or the last one's
-// timestamp already went back.
+// neighbor is one active-view entry, held by value in Protocol.view. An
+// entry is parked (connected false) from the moment a neighbour dial
+// completes until the peer's NeighborReply accepts it; a parked entry
+// counts against the cap but is not in Active. heardAt and peerSentAt are
+// what the next heartbeat echoes: this node's clock when the peer's last
+// heartbeat arrived and the SentAt it carried, both in nanoseconds.
+// peerSentAt is 0 when there is nothing to echo: no heartbeat yet, or the
+// last one's timestamp already went back. missed is an int32 so that a
+// record packs into 40 bytes.
 type neighbor struct {
-	connected  bool
-	missed     int
+	id         ids.NodeID
 	rtt        time.Duration
 	heardAt    int64
 	peerSentAt int64
+	missed     int32
+	connected  bool
 }
 
 // Protocol is one node's HyParView instance. It implements node.Proto; all
 // methods run on the node's actor loop.
+//
+// The active view is view, ascending by id. Only insert adds to it and only
+// drop removes from it; up, the ids of its connected entries in the same
+// order, changes only in connect and drop, and is what Active returns.
 type Protocol struct {
 	node.BaseProto
 	cfg     Config
 	env     node.Env
-	active  map[ids.NodeID]*neighbor
+	view    []neighbor
+	up      []ids.NodeID
 	passive *ids.Set
 	dials   map[ids.NodeID]*dial
 	// promotionInFlight guards against issuing a storm of parallel
@@ -143,20 +155,9 @@ type Protocol struct {
 	shuffleTimer      node.Timer
 	kaTickFn          func()
 	shuffleTickFn     func()
-
-	// activeSnap caches the sorted connected-member list Active returns;
-	// activeDirty marks it stale after a view mutation. The upper layer
-	// (BRISA parent selection) walks the active view on every delivery, so
-	// rebuilding the sorted snapshot per call dominated the allocation
-	// profile at 1k+ nodes.
-	activeSnap  []ids.NodeID
-	activeDirty bool
-	// kaScratch and scratch are reused iteration buffers (keep-alive round
-	// and walk-forwarding candidate filters respectively). They are
-	// distinct because a keep-alive round can evict members, which uses
-	// scratch via evictRandom.
-	kaScratch []ids.NodeID
-	scratch   []ids.NodeID
+	// scratch is a reused buffer for the random draws over a filtered
+	// view (walk next hops, passive-view evictions and promotions).
+	scratch []ids.NodeID
 }
 
 // Kinds returns the wire kinds this protocol owns, for Mux registration.
@@ -178,11 +179,9 @@ func New(cfg Config) *Protocol {
 		cfg.ExpansionFactor = 1
 	}
 	return &Protocol{
-		cfg:         cfg,
-		active:      make(map[ids.NodeID]*neighbor, 2*cfg.ActiveSize),
-		passive:     ids.NewSet(),
-		dials:       make(map[ids.NodeID]*dial),
-		activeDirty: true,
+		cfg:     cfg,
+		passive: ids.NewSet(),
+		dials:   make(map[ids.NodeID]*dial),
 	}
 }
 
@@ -219,36 +218,18 @@ func (p *Protocol) Join(contact ids.NodeID) {
 	if contact == p.env.ID() {
 		return
 	}
-	p.dials[contact] = &dial{kind: dialJoin, started: p.env.Now()}
-	p.env.Connect(contact)
+	p.openDial(contact, dial{kind: dialJoin})
 }
 
 // Active returns the connected active-view members, ascending. The returned
-// slice is a cached snapshot owned by the protocol, valid until the next
-// view change: callers iterate it (or copy it) but must not mutate or
-// retain it.
-func (p *Protocol) Active() []ids.NodeID {
-	if p.activeDirty {
-		p.activeSnap = p.activeSnap[:0]
-		for id, nb := range p.active {
-			if nb.connected {
-				p.activeSnap = append(p.activeSnap, id)
-			}
-		}
-		ids.Sort(p.activeSnap)
-		p.activeDirty = false
-	}
-	return p.activeSnap
-}
-
-// invalidateActive marks the cached Active snapshot stale. Call after any
-// change to the active map or to a member's connected flag.
-func (p *Protocol) invalidateActive() { p.activeDirty = true }
+// slice is owned by the protocol and changes in place with the view:
+// callers iterate it (or copy it) but must not mutate or retain it.
+func (p *Protocol) Active() []ids.NodeID { return p.up }
 
 // ActiveContains reports whether peer is a connected active neighbor.
 func (p *Protocol) ActiveContains(peer ids.NodeID) bool {
-	nb, ok := p.active[peer]
-	return ok && nb.connected
+	nb := p.lookup(peer)
+	return nb != nil && nb.connected
 }
 
 // Passive returns the passive view, ascending.
@@ -257,7 +238,7 @@ func (p *Protocol) Passive() []ids.NodeID { return p.passive.Snapshot() }
 // RTT returns the last measured round-trip time to an active neighbor, or 0
 // if unknown.
 func (p *Protocol) RTT(peer ids.NodeID) time.Duration {
-	if nb, ok := p.active[peer]; ok {
+	if nb := p.lookup(peer); nb != nil {
 		return nb.rtt
 	}
 	return 0
@@ -265,27 +246,82 @@ func (p *Protocol) RTT(peer ids.NodeID) time.Duration {
 
 // ---------------------------------------------------------------- view ops
 
+func byID(nb neighbor, id ids.NodeID) int { return cmp.Compare(nb.id, id) }
+
+// find returns peer's index in the view, or where it would be inserted.
+func (p *Protocol) find(peer ids.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(p.view, peer, byID)
+}
+
+// lookup returns peer's view entry, or nil. The pointer is valid until the
+// next insert or drop.
+func (p *Protocol) lookup(peer ids.NodeID) *neighbor {
+	if i, ok := p.find(peer); ok {
+		return &p.view[i]
+	}
+	return nil
+}
+
+// insert is the one way into the view: it enters peer, which must not be in
+// it, as a parked entry with the given RTT, first evicting random members
+// while the view is at its hard cap. The views stay disjoint: a peer
+// entering the active view leaves the passive one.
+func (p *Protocol) insert(peer ids.NodeID, rtt time.Duration) {
+	for len(p.view) >= p.maxActive() {
+		p.evictRandom()
+	}
+	p.passive.Remove(peer)
+	i, _ := p.find(peer)
+	p.view = slices.Insert(p.view, i, neighbor{id: peer, rtt: rtt})
+}
+
+// connect flips peer's parked entry to connected and tells the upper
+// layer. It does nothing for a peer that is not parked.
+func (p *Protocol) connect(peer ids.NodeID) {
+	nb := p.lookup(peer)
+	if nb == nil || nb.connected {
+		return
+	}
+	nb.connected = true
+	i, _ := slices.BinarySearch(p.up, peer)
+	p.up = slices.Insert(p.up, i, peer)
+	p.notifyUp(peer)
+}
+
+// drop is the one way out of the view: it removes peer's entry and returns
+// it; ok is false if peer was not in the view. Telling the upper layer is
+// the caller's, since each caller orders it among its own sends.
+func (p *Protocol) drop(peer ids.NodeID) (nb neighbor, ok bool) {
+	i, ok := p.find(peer)
+	if !ok {
+		return neighbor{}, false
+	}
+	nb = p.view[i]
+	p.view = slices.Delete(p.view, i, i+1)
+	if nb.connected {
+		j, _ := slices.BinarySearch(p.up, peer)
+		p.up = slices.Delete(p.up, j, j+1)
+	}
+	return nb, true
+}
+
 // addActive records peer as an active neighbor whose connection is already
-// established, evicting someone if the view is at its hard cap.
+// established, entering it into the view if it is not there yet.
 func (p *Protocol) addActive(peer ids.NodeID) {
 	if peer == p.env.ID() || peer == ids.Nil {
 		return
 	}
-	if nb, ok := p.active[peer]; ok {
-		if !nb.connected {
-			nb.connected = true
-			p.invalidateActive()
-			p.notifyUp(peer)
-		}
-		return
+	if _, ok := p.find(peer); !ok {
+		p.insert(peer, 0)
 	}
-	for len(p.active) >= p.maxActive() {
-		p.evictRandom(peer)
-	}
-	p.passive.Remove(peer)
-	p.active[peer] = &neighbor{connected: true}
-	p.invalidateActive()
-	p.notifyUp(peer)
+	p.connect(peer)
+}
+
+// openDial records why peer is being dialed and dials it.
+func (p *Protocol) openDial(peer ids.NodeID, d dial) {
+	d.started = p.env.Now()
+	p.dials[peer] = &d
+	p.env.Connect(peer)
 }
 
 // startActiveDial begins adding a peer we are not connected to yet.
@@ -293,55 +329,37 @@ func (p *Protocol) startActiveDial(peer ids.NodeID, priority bool) {
 	if peer == p.env.ID() || peer == ids.Nil {
 		return
 	}
-	if _, ok := p.active[peer]; ok {
+	if _, ok := p.find(peer); ok {
 		return
 	}
 	if _, ok := p.dials[peer]; ok {
 		return
 	}
-	p.dials[peer] = &dial{kind: dialNeighbor, priority: priority, started: p.env.Now()}
-	p.env.Connect(peer)
+	p.openDial(peer, dial{kind: dialNeighbor, priority: priority})
 }
 
-// evictRandom drops a random connected active member to make room, telling
-// it via Disconnect (the receiver closes the connection). exclude is never
-// chosen.
-func (p *Protocol) evictRandom(exclude ids.NodeID) {
-	candidates := p.scratch[:0]
-	for id := range p.active {
-		if id != exclude {
-			candidates = append(candidates, id)
-		}
-	}
-	p.scratch = candidates
-	if len(candidates) == 0 {
-		return
-	}
-	ids.Sort(candidates) // deterministic order before random pick
-	victim := candidates[p.env.Rand().Intn(len(candidates))]
-	nb := p.active[victim]
-	delete(p.active, victim)
-	p.invalidateActive()
+// evictRandom drops a random active member to make room. A connected one
+// is told via Disconnect (the receiver closes the connection).
+func (p *Protocol) evictRandom() {
+	victim, _ := p.drop(p.view[p.env.Rand().Intn(len(p.view))].id)
 	p.metrics.Evictions++
-	if nb.connected {
-		p.env.Send(victim, wire.Disconnect{})
-		p.notifyDown(victim)
+	if victim.connected {
+		p.env.Send(victim.id, wire.Disconnect{})
+		p.notifyDown(victim.id)
 	} else {
 		// Pending handshake: just tear the connection down.
-		p.env.Close(victim)
+		p.env.Close(victim.id)
 	}
-	p.addPassive(victim)
+	p.addPassive(victim.id)
 }
 
 // removeActive drops peer from the active view (already-disconnected path)
 // and promotes a replacement if the view fell below target.
 func (p *Protocol) removeActive(peer ids.NodeID, addToPassive bool) {
-	nb, ok := p.active[peer]
+	nb, ok := p.drop(peer)
 	if !ok {
 		return
 	}
-	delete(p.active, peer)
-	p.invalidateActive()
 	if nb.connected {
 		p.notifyDown(peer)
 	}
@@ -355,7 +373,7 @@ func (p *Protocol) addPassive(peer ids.NodeID) {
 	if peer == p.env.ID() || peer == ids.Nil {
 		return
 	}
-	if _, inActive := p.active[peer]; inActive {
+	if _, inActive := p.find(peer); inActive {
 		return
 	}
 	if p.passive.Has(peer) {
@@ -373,7 +391,7 @@ func (p *Protocol) addPassive(peer ids.NodeID) {
 // target (the expansion-factor rule: no replacement while the view is
 // between target and target×expansion).
 func (p *Protocol) maybePromote() {
-	if p.stopped || p.promotionInFlight || len(p.active) >= p.cfg.ActiveSize {
+	if p.stopped || p.promotionInFlight || len(p.view) >= p.cfg.ActiveSize {
 		return
 	}
 	candidates := p.passive.AppendSorted(p.scratch[:0])
@@ -390,21 +408,9 @@ func (p *Protocol) maybePromote() {
 	}
 	pick := filtered[p.env.Rand().Intn(len(filtered))]
 	p.promotionInFlight = true
-	priority := p.activeConnectedCount() == 0
 	p.passive.Remove(pick)
-	p.dials[pick] = &dial{kind: dialNeighbor, priority: priority, started: p.env.Now()}
-	p.env.Connect(pick)
+	p.openDial(pick, dial{kind: dialNeighbor, priority: len(p.up) == 0})
 	p.metrics.Promotions++
-}
-
-func (p *Protocol) activeConnectedCount() int {
-	n := 0
-	for _, nb := range p.active {
-		if nb.connected {
-			n++
-		}
-	}
-	return n
 }
 
 func (p *Protocol) notifyUp(peer ids.NodeID) {
@@ -434,21 +440,17 @@ func (p *Protocol) ConnUp(peer ids.NodeID) {
 	case dialJoin:
 		p.env.Send(peer, wire.Join{})
 		p.addActive(peer)
-		if nb, ok := p.active[peer]; ok {
+		if nb := p.lookup(peer); nb != nil {
 			nb.rtt = rtt
 		}
 	case dialNeighbor:
 		p.env.Send(peer, wire.NeighborRequest{Priority: d.priority})
-		// Membership is confirmed by NeighborReply; park the dial state in
-		// a pending neighbor entry (counted against the cap) so RTT
-		// survives. The views stay disjoint: a peer entering the active
-		// view leaves the passive one.
-		for len(p.active) >= p.maxActive() {
-			p.evictRandom(peer)
+		// Membership is confirmed by NeighborReply; park the peer so the
+		// RTT survives. A peer that joined inbound while the dial was out
+		// is already in the view and keeps its entry.
+		if _, ok := p.find(peer); !ok {
+			p.insert(peer, rtt)
 		}
-		p.passive.Remove(peer)
-		p.active[peer] = &neighbor{connected: false, rtt: rtt}
-		p.invalidateActive()
 	case dialTemp:
 		for _, m := range d.queued {
 			p.env.Send(peer, m)
@@ -469,7 +471,7 @@ func (p *Protocol) ConnDown(peer ids.NodeID, err error) {
 		}
 		return
 	}
-	if _, ok := p.active[peer]; ok {
+	if _, ok := p.find(peer); ok {
 		p.metrics.NeighborFailures++
 		p.removeActive(peer, false) // failed: do not keep in passive
 	}
@@ -518,28 +520,35 @@ func (p *Protocol) onForwardJoin(from ids.NodeID, m wire.ForwardJoin) {
 	if joiner == p.env.ID() {
 		return
 	}
-	if m.TTL == 0 || p.activeConnectedCount() <= 1 {
+	if m.TTL == 0 || len(p.up) <= 1 {
 		p.startActiveDial(joiner, true)
 		return
 	}
 	if m.TTL == p.cfg.PRWL {
 		p.addPassive(joiner)
 	}
-	// Forward the walk to a random active peer other than the sender and
-	// the joiner itself.
+	next, ok := p.nextHop(from, joiner)
+	if !ok {
+		p.startActiveDial(joiner, true)
+		return
+	}
+	p.env.Send(next, wire.ForwardJoin{Joiner: joiner, TTL: m.TTL - 1})
+}
+
+// nextHop draws the next step of a random walk: a connected neighbour other
+// than a and b. ok is false when there is none.
+func (p *Protocol) nextHop(a, b ids.NodeID) (next ids.NodeID, ok bool) {
 	candidates := p.scratch[:0]
-	for _, peer := range p.Active() {
-		if peer != from && peer != joiner {
+	for _, peer := range p.up {
+		if peer != a && peer != b {
 			candidates = append(candidates, peer)
 		}
 	}
 	p.scratch = candidates
 	if len(candidates) == 0 {
-		p.startActiveDial(joiner, true)
-		return
+		return ids.Nil, false
 	}
-	next := candidates[p.env.Rand().Intn(len(candidates))]
-	p.env.Send(next, wire.ForwardJoin{Joiner: joiner, TTL: m.TTL - 1})
+	return candidates[p.env.Rand().Intn(len(candidates))], true
 }
 
 func (p *Protocol) onDisconnect(from ids.NodeID) {
@@ -550,7 +559,7 @@ func (p *Protocol) onDisconnect(from ids.NodeID) {
 }
 
 func (p *Protocol) onNeighborRequest(from ids.NodeID, m wire.NeighborRequest) {
-	accept := m.Priority || len(p.active) < p.maxActive()
+	accept := m.Priority || len(p.view) < p.maxActive()
 	p.env.Send(from, wire.NeighborReply{Accept: accept})
 	if accept {
 		p.addActive(from)
@@ -562,17 +571,15 @@ func (p *Protocol) onNeighborRequest(from ids.NodeID, m wire.NeighborRequest) {
 
 func (p *Protocol) onNeighborReply(from ids.NodeID, m wire.NeighborReply) {
 	p.promotionInFlight = false
-	nb, ok := p.active[from]
-	if !ok {
+	// Only a parked entry awaits this reply; a peer that joined inbound
+	// meanwhile is a neighbour whatever it answers.
+	if nb := p.lookup(from); nb == nil || nb.connected {
 		return
 	}
 	if m.Accept {
-		nb.connected = true
-		p.invalidateActive()
-		p.notifyUp(from)
+		p.connect(from)
 	} else {
-		delete(p.active, from)
-		p.invalidateActive()
+		p.drop(from)
 		p.env.Close(from)
 		p.metrics.PromotionRejects++
 		p.addPassive(from) // keep it around; it was alive, just full
@@ -623,16 +630,8 @@ func (p *Protocol) onShuffle(from ids.NodeID, m wire.Shuffle) {
 	if ttl > 0 {
 		ttl--
 	}
-	if ttl > 0 && p.activeConnectedCount() > 1 {
-		candidates := p.scratch[:0]
-		for _, peer := range p.Active() {
-			if peer != from && peer != m.Origin {
-				candidates = append(candidates, peer)
-			}
-		}
-		p.scratch = candidates
-		if len(candidates) > 0 {
-			next := candidates[p.env.Rand().Intn(len(candidates))]
+	if ttl > 0 && len(p.up) > 1 {
+		if next, ok := p.nextHop(from, m.Origin); ok {
 			p.env.Send(next, wire.Shuffle{Origin: m.Origin, TTL: ttl, Nodes: m.Nodes})
 			return
 		}
@@ -654,7 +653,7 @@ func (p *Protocol) onShuffleReply(from ids.NodeID, m wire.ShuffleReply) {
 	p.integrate(m.Nodes)
 	// If the reply arrived on a temporary connection, close it; the remote
 	// side treats the ConnDown as expected.
-	if _, isActive := p.active[from]; !isActive {
+	if _, isActive := p.find(from); !isActive {
 		if _, dialing := p.dials[from]; !dialing {
 			p.env.Close(from)
 		}
@@ -676,8 +675,7 @@ func (p *Protocol) tempSend(to ids.NodeID, msgs ...wire.Message) {
 		}
 		return
 	}
-	p.dials[to] = &dial{kind: dialTemp, queued: msgs, started: p.env.Now()}
-	p.env.Connect(to)
+	p.openDial(to, dial{kind: dialTemp, queued: msgs})
 }
 
 // ---------------------------------------------------------------- keepalive
@@ -702,35 +700,30 @@ func (p *Protocol) keepAliveTick() {
 		blob = p.cfg.Piggyback()
 	}
 	now := p.env.Now().UnixNano()
-	// Iterate in sorted order, not map order: each Send draws from the
-	// shared RNG stream (latency sampling on the simulator), so the send
-	// order must be identical across runs for a seed to reproduce a run.
-	// The buffer is reused across rounds; the loop body may evict members
-	// but only ever touches kaScratch through this local.
-	members := p.kaScratch[:0]
-	for id := range p.active {
-		members = append(members, id)
-	}
-	ids.Sort(members)
-	p.kaScratch = members
 	// One slab per round boxes every heartbeat: each neighbour gets a
 	// pointer to its own element. The slab is new each round because a sent
 	// message is read-only from Send on (node.Env.Send) and the simulator
 	// may still hold last round's pointers on another shard.
-	kas := make([]wire.KeepAlive, 0, len(members))
-	for _, id := range members {
-		nb := p.active[id]
+	kas := make([]wire.KeepAlive, 0, len(p.up))
+	// The walk is in id order: each Send draws from the shared RNG stream
+	// (latency sampling on the simulator), so the send order must be the
+	// same in every run for a seed to reproduce a run.
+	for i := 0; i < len(p.view); i++ {
+		nb := &p.view[i]
 		if !nb.connected {
 			continue
 		}
 		nb.missed++
-		if nb.missed > p.cfg.MissLimit {
+		if int(nb.missed) > p.cfg.MissLimit {
 			// The transport failure detector usually beats this, but a
 			// silently wedged peer, or one that does not list this node
 			// and so sends it nothing, is declared dead here.
+			id := nb.id
 			p.metrics.KeepAlivesMissed++
 			p.env.Close(id)
 			p.removeActive(id, false)
+			i, _ = p.find(id)
+			i-- // resume at the first member above id
 			continue
 		}
 		kas = append(kas, wire.KeepAlive{SentAt: now, Piggyback: blob})
@@ -739,7 +732,7 @@ func (p *Protocol) keepAliveTick() {
 			ka.Echo = nb.peerSentAt + (now - nb.heardAt)
 			nb.peerSentAt = 0 // an echo is spent once
 		}
-		p.env.Send(id, ka)
+		p.env.Send(nb.id, ka)
 	}
 }
 
@@ -747,8 +740,8 @@ func (p *Protocol) onKeepAlive(from ids.NodeID, m wire.KeepAlive) {
 	if p.cfg.OnPiggyback != nil && m.Piggyback != nil {
 		p.cfg.OnPiggyback(from, m.Piggyback)
 	}
-	nb, ok := p.active[from]
-	if !ok {
+	nb := p.lookup(from)
+	if nb == nil {
 		return
 	}
 	now := p.env.Now().UnixNano()

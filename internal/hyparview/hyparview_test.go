@@ -14,27 +14,39 @@ import (
 
 // cluster is a test fixture: n HyParView nodes on a simulated network.
 type cluster struct {
-	net   *simnet.Network
-	peers map[ids.NodeID]*Protocol
-	order []ids.NodeID
+	net     *simnet.Network
+	peers   map[ids.NodeID]*Protocol
+	order   []ids.NodeID
+	balance map[ids.NodeID]balance // each node's NeighborUp/NeighborDown count
 }
 
 func newCluster(t testing.TB, n int, seed int64, cfg Config) *cluster {
 	t.Helper()
 	c := &cluster{
-		net:   simnet.New(simnet.Options{Seed: seed}),
-		peers: make(map[ids.NodeID]*Protocol),
+		net:     simnet.New(simnet.Options{Seed: seed}),
+		peers:   make(map[ids.NodeID]*Protocol),
+		balance: make(map[ids.NodeID]balance),
 	}
 	for i := 0; i < n; i++ {
 		id := ids.NodeID(i + 1)
-		p := New(cfg)
+		b := balance{}
+		p := New(b.counted(cfg))
 		mux := node.NewMux()
 		mux.Register(p, Kinds()...)
 		c.net.AddNode(id, mux)
 		c.peers[id] = p
 		c.order = append(c.order, id)
+		c.balance[id] = b
 	}
 	return c
+}
+
+// checkViews runs checkView on every node, crashed ones included.
+func (c *cluster) checkViews(t *testing.T) {
+	t.Helper()
+	for _, id := range c.order {
+		checkView(t, c.peers[id], c.balance[id])
+	}
 }
 
 // bootstrap joins node i to a random earlier node, one join per interval.
@@ -106,6 +118,7 @@ func TestViewsAreSymmetric(t *testing.T) {
 	if asym != 0 {
 		t.Fatalf("%d asymmetric active links", asym)
 	}
+	c.checkViews(t)
 }
 
 func TestViewSizeBounds(t *testing.T) {
@@ -123,6 +136,7 @@ func TestViewSizeBounds(t *testing.T) {
 			t.Errorf("node %v passive view %d exceeds cap %d", id, got, cfg.PassiveSize)
 		}
 	}
+	c.checkViews(t)
 }
 
 func TestFailureRecovery(t *testing.T) {
@@ -150,6 +164,7 @@ func TestFailureRecovery(t *testing.T) {
 			}
 		}
 	}
+	c.checkViews(t)
 }
 
 func TestRTTMeasurement(t *testing.T) {

@@ -73,11 +73,19 @@ func (e *handEnv) lastKeepAlive(t *testing.T, peer ids.NodeID) wire.KeepAlive {
 	return wire.KeepAlive{}
 }
 
+// newCountedNode is node 1 on a handEnv, with no neighbours yet and its
+// NeighborUp and NeighborDown calls counted.
+func newCountedNode(cfg Config) (*Protocol, *handEnv, balance) {
+	env := &handEnv{now: simnet.Epoch().Add(time.Hour), rng: rand.New(rand.NewSource(1))}
+	b := balance{}
+	p := New(b.counted(cfg))
+	p.Start(env)
+	return p, env, b
+}
+
 // newHandNode is node 1 with nodes 2, 3, … as its n connected neighbours.
 func newHandNode(t *testing.T, n int) (*Protocol, *handEnv) {
-	env := &handEnv{now: simnet.Epoch().Add(time.Hour), rng: rand.New(rand.NewSource(1))}
-	p := New(DefaultConfig())
-	p.Start(env)
+	p, env, _ := newCountedNode(DefaultConfig())
 	for i := 0; i < n; i++ {
 		p.Receive(ids.NodeID(2+i), wire.Join{})
 	}
@@ -121,8 +129,8 @@ func TestKeepAliveRoundAllocs(t *testing.T) {
 	env.discard = true
 	got := testing.AllocsPerRun(100, func() {
 		p.keepAliveTick()
-		for _, nb := range p.active {
-			nb.missed = 0 // nobody answers here; keep all 8 in the view
+		for i := range p.view {
+			p.view[i].missed = 0 // nobody answers here; keep all 8 in the view
 		}
 	})
 	if got != 1 {
@@ -321,10 +329,7 @@ func TestOneSidedEntryHeals(t *testing.T) {
 
 	// B forgets A without telling it: the connection stays up, A's
 	// heartbeats keep arriving at B, and B has no reason to send any.
-	net.At(5*time.Second, func() {
-		delete(b.active, 1)
-		b.invalidateActive()
-	})
+	net.At(5*time.Second, func() { b.drop(1) })
 	net.RunFor(time.Duration(cfg.MissLimit+1) * cfg.KeepAlivePeriod)
 	if a.ActiveContains(2) {
 		t.Errorf("A still lists B %d periods after B dropped it", cfg.MissLimit+1)

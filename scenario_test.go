@@ -12,7 +12,6 @@ import (
 	"time"
 
 	brisa "repro"
-	"repro/internal/hyparview"
 )
 
 // twoByTwo is the acceptance scenario: two concurrent streams from two
@@ -203,10 +202,6 @@ func TestScenarioValidateErrors(t *testing.T) {
 		}},
 		{"baseline with Strategy", func(sc *brisa.Scenario) {
 			sc.Topology.Peer = brisa.Config{Mode: brisa.ModeTAG, Strategy: brisa.FirstCome{}}
-		}},
-		{"baseline with a HyParView override", func(sc *brisa.Scenario) {
-			hv := hyparview.DefaultConfig()
-			sc.Topology.Peer = brisa.Config{Mode: brisa.ModeSimpleGossip, HyParView: &hv}
 		}},
 		{"SimpleTree sourced off its root", func(sc *brisa.Scenario) {
 			sc.Topology.Peer.Mode = brisa.ModeSimpleTree
