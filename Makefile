@@ -59,11 +59,12 @@ profile-scale:
 bench-blob:
 	$(GO) test -run '^$$' -bench BenchmarkBlob -benchtime 1x .
 
-# fuzz runs the wire-codec, piggyback, view and dist-answer fuzz targets briefly (CI
+# fuzz runs the wire-codec, connection-decoder, piggyback, view and dist-answer fuzz targets briefly (CI
 # runs the same smoke); longer local sessions: go test -fuzz FuzzDecoder -fuzztime 5m ./internal/wire
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzConnDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzPiggyback$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzView$$' -fuzztime 10s ./internal/hyparview
 	$(GO) test -run '^$$' -fuzz '^FuzzDistAnswer$$' -fuzztime 10s .

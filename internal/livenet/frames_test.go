@@ -213,10 +213,11 @@ func TestOversizeSendIsRefused(t *testing.T) {
 }
 
 // TestSteadyStateReceiveAllocs: receiving a 256 B Data costs the objects the
-// handler gets to keep and did not have yet — the payload and the boxed
-// message, plus the path when it is not the previous message's (the
-// connection's wire.PathCache holds one path) — and nothing for the frame, the
-// header, a repeated path or the hand-off to the actor.
+// handler gets to keep and did not have yet — the boxed message, an eighth of
+// the 2 KiB slab the connection's wire.ConnDecoder carves eight such payloads
+// from, plus the path when it is not the previous message's (the decoder
+// interns one path) — and nothing for the frame, the header, a repeated path
+// or the hand-off to the actor.
 func TestSteadyStateReceiveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -234,9 +235,9 @@ func TestSteadyStateReceiveAllocs(t *testing.T) {
 		paths [][]ids.NodeID
 		want  float64
 	}{
-		{"a repeated 4-hop path", [][]ids.NodeID{{1, 2, 3, 4}}, 2},
-		{"two paths alternating frame by frame", [][]ids.NodeID{{1, 2, 3, 4}, {1, 2, 5, 4}}, 3},
-		{"the empty path the source's children see", [][]ids.NodeID{nil}, 2},
+		{"a repeated 4-hop path", [][]ids.NodeID{{1, 2, 3, 4}}, 1.125},
+		{"two paths alternating frame by frame", [][]ids.NodeID{{1, 2, 3, 4}, {1, 2, 5, 4}}, 2.125},
+		{"the empty path the source's children see", [][]ids.NodeID{nil}, 1.125},
 	} {
 		var msgs []wire.Message
 		for _, p := range tc.paths {
@@ -253,7 +254,7 @@ func TestSteadyStateReceiveAllocs(t *testing.T) {
 		sendBatch()
 		// The slack is the harness's own cost per batch (Call's closure, await's timer).
 		if got := testing.AllocsPerRun(8, sendBatch) / batch; got > tc.want+0.1 || got < tc.want-0.5 {
-			t.Errorf("%s: %.2f allocations per received message, want %.0f", tc.name, got, tc.want)
+			t.Errorf("%s: %.2f allocations per received message, want %.3f", tc.name, got, tc.want)
 		}
 	}
 }

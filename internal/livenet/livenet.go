@@ -86,7 +86,7 @@ type Config struct {
 	// by Start; ignored by Listen, whose callers pass the handler to Run
 	// once the bound identifier is known.
 	Handler nodepkg.Handler
-	// Seed seeds the node's RNG; 0 uses the current time.
+	// Seed seeds the node's RNG, an 8-byte node.SplitMix; 0 uses the current time.
 	Seed int64
 	// Logf, when set, receives debug output.
 	Logf func(format string, args ...any)
@@ -141,10 +141,11 @@ type liveConn struct {
 	deliver   func()
 	// Owned by the reader goroutine: frames that fit r's buffer are decoded
 	// there, larger ones in scratch (at most maxFrame, kept for reuse), and
-	// paths interns the embedded path the peer's messages repeat.
+	// dec interns the embedded path the peer's messages repeat and carves
+	// their payloads from a slab.
 	r       *bufio.Reader
 	scratch []byte
-	paths   wire.PathCache
+	dec     wire.ConnDecoder
 
 	// Per-connection tap: bumped on the reader goroutine and under wmu on
 	// the writer side, read from any goroutine.
@@ -188,7 +189,7 @@ func Listen(cfg Config) (*Node, error) {
 		id:       id,
 		listener: ln,
 		mailbox:  make(chan func(), 4096),
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      nodepkg.NewRand(uint64(seed)),
 		logf:     cfg.Logf,
 		conns:    make(map[ids.NodeID]*liveConn),
 		dialing:  make(map[ids.NodeID]bool),
@@ -626,8 +627,9 @@ func (n *Node) readLoop(lc *liveConn) {
 
 // readFrame reads and decodes one length-prefixed frame. The decoder copies
 // whatever the message keeps, so the frame is decoded where it was read and
-// that storage is reused for the next frame; the one thing successive messages
-// may share is an unchanged Path, handed out again by lc.paths.
+// that storage is reused for the next frame; what successive messages may
+// share is lc.dec's doing: an unchanged Path handed out again, and the backing
+// array of their Data payloads.
 func (lc *liveConn) readFrame() (wire.Message, error) {
 	r := lc.r
 	hdr, err := peekFull(r, 4)
@@ -660,7 +662,7 @@ func (lc *liveConn) readFrame() (wire.Message, error) {
 	}
 	lc.msgsIn.Add(1)
 	lc.bytesIn.Add(4 + uint64(size))
-	msg, err := lc.paths.Unmarshal(frame)
+	msg, err := lc.dec.Unmarshal(frame)
 	if inPlace {
 		r.Discard(4 + size) // only now: Discard gives the viewed bytes back to r
 	}

@@ -83,10 +83,13 @@ type Handler interface {
 
 	// Receive delivers one message from an established connection. m is
 	// shared with the sender and with the other receivers of the same Send
-	// (see Env.Send), and successive messages of one connection may share a
-	// Path slice (the live transport decodes an unchanged embedded path
-	// once): the handler may keep m and its slices for as long as it only
-	// reads them, and copies whatever it wants to change.
+	// (see Env.Send). On the live transport successive messages of one
+	// connection may also share storage (wire.ConnDecoder): an unchanged
+	// Path is the same slice, and successive Data payloads may sit in one
+	// backing array, each capped at its length so that an append copies; a
+	// payload that is kept pins at most 2 KiB of it. The handler may keep m
+	// and its slices for as long as it only reads them, and copies whatever
+	// it wants to change.
 	Receive(from ids.NodeID, m wire.Message)
 
 	// ConnUp reports that a connection (initiated by either side) is

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/node"
 )
 
 // DropPolicy selects which message a full inbound buffer sacrifices.
@@ -273,7 +274,7 @@ const (
 
 // partSide reports whether id hashes onto partition p's minority side.
 func (n *Network) partSide(i int, id ids.NodeID) bool {
-	return unit(mix64(n.partSalts[i]^uint64(id))) < n.faults.Partitions[i].Fraction
+	return unit(node.Mix64(n.partSalts[i]^uint64(id))) < n.faults.Partitions[i].Fraction
 }
 
 // partitioned reports whether a message from -> to sent at nowNS crosses an
@@ -382,19 +383,19 @@ func (n *Network) applyFaults(self *simNode, peer *simNode, arriveNS int64, ev e
 	}
 	h := mixPair(n.opts.Seed, fStreamSalt, self.id, peer.id, self.faultSeq)
 	self.faultSeq++
-	if f.Loss > 0 && unit(mix64(h^fLossDraw)) < f.Loss {
+	if f.Loss > 0 && unit(node.Mix64(h^fLossDraw)) < f.Loss {
 		self.fstats.Lost++
 		return 0, false
 	}
-	if f.Reorder > 0 && unit(mix64(h^fReorderDraw)) < f.Reorder {
+	if f.Reorder > 0 && unit(node.Mix64(h^fReorderDraw)) < f.Reorder {
 		// Held back beyond the FIFO floor: later sends on this connection
 		// may genuinely overtake it.
-		arriveNS += int64(unit(mix64(h^fRDelayDraw)) * float64(f.ExtraDelay))
+		arriveNS += int64(unit(node.Mix64(h^fRDelayDraw)) * float64(f.ExtraDelay))
 		self.fstats.Reordered++
 	}
-	if f.Duplicate > 0 && unit(mix64(h^fDupDraw)) < f.Duplicate {
+	if f.Duplicate > 0 && unit(node.Mix64(h^fDupDraw)) < f.Duplicate {
 		self.fstats.Duplicated++
-		ev.at = arriveNS + int64(unit(mix64(h^fDupDelay))*float64(f.ExtraDelay))
+		ev.at = arriveNS + int64(unit(node.Mix64(h^fDupDelay))*float64(f.ExtraDelay))
 		n.scheduleNode(self, peer.shard, ev)
 	}
 	return arriveNS, true

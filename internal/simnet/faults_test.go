@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/node"
 	"repro/internal/wire"
 )
 
@@ -173,7 +174,7 @@ func TestMixFaultDeterminismAndRate(t *testing.T) {
 		const draws = 200_000
 		hits := 0
 		for c := uint64(0); c < draws; c++ {
-			if unit(mix64(mixPair(42, fStreamSalt, 3, 9, c)^fLossDraw)) < p {
+			if unit(node.Mix64(mixPair(42, fStreamSalt, 3, 9, c)^fLossDraw)) < p {
 				hits++
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/node"
 )
 
 // LatencyModel produces one-way delays between node pairs.
@@ -130,8 +131,8 @@ func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // gauss derives a standard normal variate from a hash stream via Box-Muller.
 func gauss(h uint64) float64 {
-	u1 := unit(mix64(h))
-	u2 := unit(mix64(h ^ 0x9e3779b97f4a7c15))
+	u1 := unit(node.Mix64(h))
+	u2 := unit(node.Mix64(h ^ 0x9e3779b97f4a7c15))
 	if u1 < 1e-12 {
 		u1 = 1e-12
 	}
@@ -139,7 +140,7 @@ func gauss(h uint64) float64 {
 }
 
 func (p *planetLab) siteOf(id ids.NodeID) int {
-	return int(mix64(uint64(id)^plSiteSalt) % uint64(p.sites))
+	return int(node.Mix64(uint64(id)^plSiteSalt) % uint64(p.sites))
 }
 
 // Sample implements LatencyModel.
@@ -148,10 +149,10 @@ func (p *planetLab) Sample(from, to ids.NodeID, r *rand.Rand) time.Duration {
 	var siteLat time.Duration
 	if sf == st {
 		// Same machine room: a LAN hop.
-		h := mix64(mix64(uint64(from)^plPairSalt) ^ uint64(to))
+		h := node.Mix64(node.Mix64(uint64(from)^plPairSalt) ^ uint64(to))
 		siteLat = planetLabFloor + time.Duration(unit(h)*float64(1200*time.Microsecond))
 	} else {
-		h := mix64(mix64(uint64(sf)^plBaseSalt) ^ uint64(st))
+		h := node.Mix64(node.Mix64(uint64(sf)^plBaseSalt) ^ uint64(st))
 		secs := math.Exp(p.mu + p.sigma*gauss(h))
 		const ceiling = 0.6 // clamp pathological tail at 600 ms one-way
 		if secs > ceiling {
@@ -163,7 +164,7 @@ func (p *planetLab) Sample(from, to ids.NodeID, r *rand.Rand) time.Duration {
 		}
 	}
 	// Per node pair: ±15% last-mile variation, fixed per pair.
-	h := mix64(mix64(uint64(from)^plPairSalt^0xabcd) ^ uint64(to))
+	h := node.Mix64(node.Mix64(uint64(from)^plPairSalt^0xabcd) ^ uint64(to))
 	base := time.Duration(float64(siteLat) * (0.85 + 0.30*unit(h)))
 	// Per message: up to +5% jitter.
 	jitterCap := int64(base) / 20

@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/node"
 	"repro/internal/wire"
 )
 
@@ -140,15 +141,16 @@ type shard struct {
 
 	// latRnd wraps latSrc: the latency-sampling RNG, re-seeded per draw from
 	// (seed, from, to, per-sender counter) so draws are a pure function of
-	// the pair history, independent of global execution order.
-	latSrc *hashSource
+	// the pair history, independent of global execution order: the property
+	// that keeps sharded execution equivalent to sequential execution.
+	latSrc *node.SplitMix
 	latRnd *rand.Rand
 
 	scratchIdxs []int32
 }
 
 func newShard(n *Network, idx int) *shard {
-	src := &hashSource{}
+	src := &node.SplitMix{}
 	s := &shard{net: n, idx: idx, mbMin: posInf, latSrc: src, latRnd: rand.New(src)}
 	s.pub.Store(posInf)
 	return s
@@ -720,38 +722,7 @@ func (n *Network) Lookahead() time.Duration {
 	return time.Duration(n.lookaheadNS)
 }
 
-// ------------------------------------------------------------ hash source
-
-// hashSource is a splitmix64 rand.Source64: 8 bytes of state. The engine
-// re-seeds one per latency draw from a hash of (seed, from, to, counter),
-// making every draw a pure function of the pair's history — the property
-// that keeps sharded execution equivalent to sequential execution — and
-// gives every node one of its own per purpose (nodeRand). All such streams
-// walk one 2^64 cycle from hashed offsets, so N streams of L draws overlap
-// somewhere with probability about N²·L / 2^64: 5·10⁻⁴ for 100k nodes
-// drawing 10⁶ times each.
-type hashSource struct{ s uint64 }
-
-func (h *hashSource) Uint64() uint64 {
-	v := mix64(h.s)
-	h.s += 0x9e3779b97f4a7c15
-	return v
-}
-
-func (h *hashSource) Int63() int64 { return int64(h.Uint64() >> 1) }
-
-func (h *hashSource) Seed(seed int64) { h.s = uint64(seed) }
-
-// mix64 advances a splitmix64 state by one step and returns the mixed value.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
+// ------------------------------------------------------------ hash streams
 
 // The engine's own hash-stream salts, distinct from faults.go's and latency.go's.
 const (
@@ -763,16 +734,16 @@ const (
 // mixPair folds the simulation seed, a stream's salt, the directed pair and
 // the per-sender draw counter into one 64-bit stream seed.
 func mixPair(seed int64, salt uint64, from, to ids.NodeID, counter uint64) uint64 {
-	h := mix64(uint64(seed) ^ salt)
-	h = mix64(h ^ uint64(from))
-	h = mix64(h ^ uint64(to))
-	return mix64(h ^ counter)
+	h := node.Mix64(uint64(seed) ^ salt)
+	h = node.Mix64(h ^ uint64(from))
+	h = node.Mix64(h ^ uint64(to))
+	return node.Mix64(h ^ counter)
 }
 
 // mixNode is mixPair for a stream that belongs to one node.
 func mixNode(seed int64, salt uint64, id ids.NodeID, counter uint64) uint64 {
-	h := mix64(uint64(seed) ^ salt)
-	return mix64(mix64(h^uint64(id)) ^ counter)
+	h := node.Mix64(uint64(seed) ^ salt)
+	return node.Mix64(node.Mix64(h^uint64(id)) ^ counter)
 }
 
 // nodeRand returns node id's random stream for one purpose, named by its
@@ -780,7 +751,7 @@ func mixNode(seed int64, salt uint64, id ids.NodeID, counter uint64) uint64 {
 // depends neither on how many nodes booted before it nor on what the driver
 // drew in between.
 func nodeRand(seed int64, purpose uint64, id ids.NodeID) *rand.Rand {
-	return rand.New(&hashSource{s: mixNode(seed, purpose, id, 0)})
+	return node.NewRand(mixNode(seed, purpose, id, 0))
 }
 
 // defaultParallelMin scales the inline-span threshold with the shard

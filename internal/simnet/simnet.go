@@ -311,7 +311,7 @@ func New(opts Options) *Network {
 		n.faults = &f
 		n.partSalts = make([]uint64, len(f.Partitions))
 		for i := range n.partSalts {
-			n.partSalts[i] = mix64(uint64(opts.Seed) ^ fPartSalt ^ uint64(i)*0x9e3779b97f4a7c15)
+			n.partSalts[i] = node.Mix64(uint64(opts.Seed) ^ fPartSalt ^ uint64(i)*0x9e3779b97f4a7c15)
 		}
 	}
 	n.shards = make([]*shard, workers)
@@ -568,7 +568,7 @@ func (n *Network) onDown(s *shard, idx int32) {
 // pairLatency samples the one-way delay for a message from -> to, drawing
 // from the sender's deterministic per-pair stream on the given shard's RNG.
 func (n *Network) pairLatency(s *shard, from *simNode, to ids.NodeID) int64 {
-	s.latSrc.s = mixPair(n.opts.Seed, latSalt, from.id, to, from.latSeq)
+	s.latSrc.Seed(int64(mixPair(n.opts.Seed, latSalt, from.id, to, from.latSeq)))
 	from.latSeq++
 	d := n.latency.Sample(from.id, to, s.latRnd)
 	if d < 0 {
@@ -582,7 +582,7 @@ func (n *Network) pairLatency(s *shard, from *simNode, to ids.NodeID) int64 {
 // draws from a driver-owned stream, so it does not perturb the pair's
 // in-simulation latency sequence. Driver context only.
 func (n *Network) EstimateLatency(from, to ids.NodeID) time.Duration {
-	n.driver.latSrc.s = mixPair(n.opts.Seed^0x51ab_f00d, latSalt, from, to, n.estSeq)
+	n.driver.latSrc.Seed(int64(mixPair(n.opts.Seed^0x51ab_f00d, latSalt, from, to, n.estSeq)))
 	n.estSeq++
 	d := n.latency.Sample(from, to, n.driver.latRnd)
 	if d < 0 {

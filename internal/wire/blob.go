@@ -119,7 +119,7 @@ func (m BlobWant) WireSize() int {
 }
 
 func init() {
-	registerPathed(KindBlobChunk, func(body []byte, paths *PathCache) (Message, error) {
+	registerPathed(KindBlobChunk, func(body []byte, c *ConnDecoder) (Message, error) {
 		d := Decoder{B: body}
 		m := BlobChunk{
 			Stream:    StreamID(d.U32()),
@@ -130,7 +130,7 @@ func init() {
 			Size:      d.U32(),
 			ChunkSize: d.U32(),
 			Depth:     d.U16(),
-			Path:      d.path(paths),
+			Path:      d.path(c),
 			Payload:   cloneBytes(d.Bytes()),
 		}
 		return m, d.Finish()

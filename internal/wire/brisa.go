@@ -161,14 +161,14 @@ func (m MsgRequest) AppendTo(b []byte) []byte {
 func (MsgRequest) WireSize() int { return 1 + szU32 + szU32 + szU32 }
 
 func init() {
-	registerPathed(KindData, func(body []byte, paths *PathCache) (Message, error) {
+	registerPathed(KindData, func(body []byte, c *ConnDecoder) (Message, error) {
 		d := Decoder{B: body}
 		m := Data{
 			Stream:  StreamID(d.U32()),
 			Seq:     d.U32(),
 			Depth:   d.U16(),
-			Path:    d.path(paths),
-			Payload: cloneBytes(d.Bytes()),
+			Path:    d.path(c),
+			Payload: c.payload(d.Bytes()),
 		}
 		return m, d.Finish()
 	})

@@ -173,11 +173,12 @@ func (d *Decoder) NodeIDs() []ids.NodeID {
 	return out
 }
 
-// path reads a u16-prefixed identifier list like NodeIDs, through the cache
-// when there is one: wire bytes equal to the cached path's return the slice
-// decoded then, anything else is decoded into a fresh slice that replaces it.
-// The empty path is nil and leaves the cache alone.
-func (d *Decoder) path(c *PathCache) []ids.NodeID {
+// path reads a u16-prefixed identifier list like NodeIDs, through the
+// connection's interned path when there is a decoder: wire bytes equal to the
+// interned path's return the slice decoded then, anything else is decoded
+// into a fresh slice that replaces it. The empty path is nil and leaves the
+// interned one alone.
+func (d *Decoder) path(c *ConnDecoder) []ids.NodeID {
 	if c == nil {
 		return d.NodeIDs()
 	}

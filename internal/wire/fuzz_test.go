@@ -12,12 +12,18 @@ package wire
 //     paths — and requires exact round-trips, including through the
 //     zero-allocation Decoder.NodeIDsAppend arena used by the keep-alive
 //     piggyback hot path.
+//   - FuzzConnDecode feeds a sequence of frames through one ConnDecoder, as
+//     a connection's reader does: every result must equal the stateless
+//     Unmarshal of its frame, and stay equal while later frames reuse the
+//     read buffer, the interned path and the payload slab.
 //
 // The seed corpus under testdata/fuzz/ pins one frame per protocol family;
-// CI runs both targets as a short -fuzztime smoke (see .github/workflows).
+// CI runs the targets as a short -fuzztime smoke (see .github/workflows).
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"repro/internal/ids"
@@ -166,5 +172,62 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("NodeIDsAppend decoded %v, want %v", list, path)
 		}
 		_ = arena
+	})
+}
+
+// connFrames packs frames for FuzzConnDecode: each one behind a u16 length.
+func connFrames(frames ...[]byte) []byte {
+	var b []byte
+	for _, f := range frames {
+		b = binary.BigEndian.AppendUint16(b, uint16(len(f)))
+		b = append(b, f...)
+	}
+	return b
+}
+
+func FuzzConnDecode(f *testing.F) {
+	path, other := []ids.NodeID{1, 2, 3}, []ids.NodeID{1, 4}
+	data := func(seq uint32, p []ids.NodeID, n int) []byte {
+		return Marshal(Data{Stream: 1, Seq: seq, Path: p, Payload: bytes.Repeat([]byte{byte(seq)}, n)})
+	}
+	var all [][]byte
+	for _, m := range fuzzSeedMessages() {
+		all = append(all, Marshal(m))
+	}
+	f.Add(connFrames(all...))
+	f.Add(connFrames(data(1, path, 256), data(2, path, 256), data(3, other, 256), data(4, path, 256)))
+	f.Add(connFrames(data(1, nil, 1), data(2, nil, 512), data(3, nil, 513), data(4, nil, 0), data(5, nil, 300)))
+	f.Add(connFrames(data(1, path, 200), append(data(2, path, 200), 0), data(3, path, 200)[:40], data(4, path, 200)))
+	f.Add(connFrames(data(1, path, 100),
+		Marshal(BlobChunk{Stream: 1, K: 1, N: 1, Path: path, Payload: []byte("chunk")}), data(2, path, 100)))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var c ConnDecoder
+		var got, want []Message
+		buf := make([]byte, 0, 1<<16) // the transport's read buffer, reused frame after frame
+		for len(in) >= 2 {
+			n := min(int(binary.BigEndian.Uint16(in)), len(in)-2)
+			frame := append(buf[:0], in[2:2+n]...)
+			in = in[2+n:]
+			ref, refErr := Unmarshal(bytes.Clone(frame))
+			m, err := c.Unmarshal(frame)
+			if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+				t.Fatalf("frame % x: ConnDecoder error %v, Unmarshal error %v", frame, err, refErr)
+			}
+			for i := range frame {
+				frame[i] ^= 0x5a
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(m, ref) {
+				t.Fatalf("ConnDecoder decoded %v, Unmarshal %v", m, ref)
+			}
+			got, want = append(got, m), append(want, ref)
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("result %d changed after a later decode: %v, decoded as %v", i, got[i], want[i])
+				}
+			}
+		}
 	})
 }

@@ -187,32 +187,55 @@ func PutBuffer(bp *[]byte) {
 // Unmarshal decodes a frame produced by Marshal. The result never aliases
 // frame — every decoder copies the bytes and identifiers it keeps — which is
 // what lets a transport decode from storage it reuses for the next frame.
-// It is PathCache.Unmarshal with no cache: every result owns its slices.
+// It is ConnDecoder.Unmarshal with no decoder state: every result owns its
+// slices, each payload in an allocation of exactly its size.
 func Unmarshal(frame []byte) (Message, error) {
-	return (*PathCache)(nil).Unmarshal(frame)
+	return (*ConnDecoder)(nil).Unmarshal(frame)
 }
 
-// PathCache interns the embedded path (§II-D) of the Data and BlobChunk
-// messages decoded through it. On a settled tree every message a node gets
-// from its parent crossed the same nodes, so a transport keeps one cache per
-// connection and pays for the path once per re-parent instead of once per
-// message.
+// ConnDecoder is the decode state a transport keeps per connection, so that
+// the messages one peer sends in a row cost fewer allocations than the same
+// frames decoded one by one. It does two things:
 //
-// The cache holds ONE path, the last non-empty one it decoded: two paths that
-// alternate frame by frame miss every time. The zero value is an empty cache;
-// a nil *PathCache decodes without one. Not safe for concurrent use.
-type PathCache struct {
-	raw  []byte       // that path as it was on the wire: u16 count + 6 B per hop
+//   - It interns the embedded path (§II-D) of Data and BlobChunk. On a
+//     settled tree every message a node gets from its parent crossed the same
+//     nodes, so the path is paid once per re-parent instead of once per
+//     message. It holds ONE path, the last non-empty one it decoded: two
+//     paths that alternate frame by frame miss every time.
+//   - It carves every Data payload of at most slabMaxPayload bytes out of an
+//     append-only slab instead of allocating each one. A payload is copied in
+//     and handed out capped at its length, so a receiver's append copies; a
+//     handed-out byte is never written again and a slab is never reused. When
+//     the current slab cannot fit the next payload a fresh one starts, twice
+//     the previous one's capacity up to slabMax, so a connection that carries
+//     few payloads keeps a small slab. A kept payload pins its slab (at most
+//     slabMax bytes) until nothing references it.
+//
+// BlobChunk payloads (large, and kept for reassembly) and payloads over
+// slabMaxPayload get an allocation of exactly their size, as with Unmarshal.
+// The zero value is ready to use; a nil *ConnDecoder decodes like Unmarshal.
+// Not safe for concurrent use.
+type ConnDecoder struct {
+	raw  []byte       // the interned path as it was on the wire: u16 count + 6 B per hop
 	path []ids.NodeID // what was handed out for raw; shared, so never written again
+	slab []byte       // payload bytes handed out so far; only ever appended to
 }
 
-// Unmarshal is the package-level Unmarshal, except that a path whose wire
-// bytes equal the previous one's comes back as the same slice: successive
-// messages decoded through one cache may share Path, which the receivers'
-// read-only rule (node.Handler.Receive) makes legal. A path that differs is
-// decoded into a fresh slice, and the result still never aliases frame. A
-// frame that fails to decode empties the cache.
-func (c *PathCache) Unmarshal(frame []byte) (Message, error) {
+// The payload slab's limits: a payload larger than slabMaxPayload gets its
+// own allocation, and no slab grows past slabMax.
+const (
+	slabMaxPayload = 512
+	slabMax        = 2 << 10
+)
+
+// Unmarshal is the package-level Unmarshal with the connection's state: a
+// path whose wire bytes equal the previous one's comes back as the same
+// slice, and successive Data payloads may share a backing array (each capped
+// at its length). Both are legal under the receivers' read-only rule
+// (node.Handler.Receive). The result still never aliases frame. A frame that
+// fails to decode forgets the interned path and leaves every payload handed out
+// before it as it was.
+func (c *ConnDecoder) Unmarshal(frame []byte) (Message, error) {
 	if len(frame) == 0 {
 		return nil, ErrTruncated
 	}
@@ -228,19 +251,35 @@ func (c *PathCache) Unmarshal(frame []byte) (Message, error) {
 	return m, err
 }
 
-// decodeFunc decodes one kind's body; paths is nil outside PathCache.Unmarshal
-// and only the kinds that embed a path look at it.
-type decodeFunc func(body []byte, paths *PathCache) (Message, error)
+// payload copies a decoded Data payload out of the frame: into the slab when
+// there is a decoder and the payload fits slabMaxPayload, else into an
+// allocation of its own.
+func (c *ConnDecoder) payload(b []byte) []byte {
+	if c == nil || len(b) == 0 || len(b) > slabMaxPayload {
+		return cloneBytes(b)
+	}
+	if cap(c.slab)-len(c.slab) < len(b) {
+		c.slab = make([]byte, 0, min(max(2*cap(c.slab), len(b)), slabMax))
+	}
+	start := len(c.slab)
+	c.slab = append(c.slab, b...)
+	return c.slab[start:len(c.slab):len(c.slab)]
+}
+
+// decodeFunc decodes one kind's body; c is nil outside ConnDecoder.Unmarshal
+// and only the kinds that embed a path or a Data payload look at it.
+type decodeFunc func(body []byte, c *ConnDecoder) (Message, error)
 
 var decoders = map[Kind]decodeFunc{}
 
 // register installs the decoder for a kind that embeds no path; called from
 // init funcs of the per-protocol files.
 func register(k Kind, fn func(body []byte) (Message, error)) {
-	registerPathed(k, func(body []byte, _ *PathCache) (Message, error) { return fn(body) })
+	registerPathed(k, func(body []byte, _ *ConnDecoder) (Message, error) { return fn(body) })
 }
 
-// registerPathed installs a decoder that reads its path through the cache.
+// registerPathed installs a decoder that reads its path (and, for Data, its
+// payload) through the connection's decoder.
 // Panics on duplicates since that is a programming error.
 func registerPathed(k Kind, fn decodeFunc) {
 	if _, dup := decoders[k]; dup {

@@ -335,18 +335,18 @@ func pathOf(m Message) []ids.NodeID {
 	return nil
 }
 
-// TestQuickPathCacheMatchesUnmarshal: for any run of frames — paths that
+// TestQuickConnDecoderMatchesUnmarshal: for any run of frames — paths that
 // repeat, change and come back, path-less kinds in between, frames cut inside
 // the path, counts that point past the end, trailing bytes — decoding through
-// one PathCache gives, frame by frame, what the stateless Unmarshal gives,
+// one ConnDecoder gives, frame by frame, what the stateless Unmarshal gives,
 // also straight after a frame that failed. A repeated path is the previous
-// slice again, and nothing handed out earlier is written afterwards or views
-// the frame it came from.
-func TestQuickPathCacheMatchesUnmarshal(t *testing.T) {
+// slice again, and nothing handed out earlier (path or slab-carved payload)
+// is written afterwards or views the frame it came from.
+func TestQuickConnDecoderMatchesUnmarshal(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		paths := [][]ids.NodeID{nil, randomIDs(r, 6), randomIDs(r, 6), randomIDs(r, 1)}
-		var cache PathCache
+		var cache ConnDecoder
 		var got, want []Message
 		var shared []ids.NodeID // the cache's path, as this test predicts it
 		for i := 0; i < 60; i++ {
@@ -403,4 +403,116 @@ func TestQuickPathCacheMatchesUnmarshal(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestConnDecoderPayloadSlab pins what the payload slab may and may not do:
+// carve small Data payloads side by side, never let one reach into another,
+// never rewrite a byte it handed out, stop growing at slabMax, and leave
+// large payloads, BlobChunk and the stateless Unmarshal with exact-size
+// copies of their own.
+func TestConnDecoderPayloadSlab(t *testing.T) {
+	data := func(c *ConnDecoder, n int, fill byte) []byte {
+		t.Helper()
+		m, err := c.Unmarshal(Marshal(Data{Stream: 1, Seq: 1, Payload: bytes.Repeat([]byte{fill}, n)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(Data).Payload
+	}
+	exact := func(p []byte, n int, fill byte) bool {
+		return len(p) == n && !slices.ContainsFunc(p, func(b byte) bool { return b != fill })
+	}
+
+	t.Run("payloads of one slab are disjoint and capped", func(t *testing.T) {
+		var c ConnDecoder
+		p1 := data(&c, 100, 1) // the first slab holds exactly one payload
+		p2 := data(&c, 100, 2) // the second has room for two
+		p3 := data(&c, 100, 3)
+		if len(c.slab) != len(p2)+len(p3) || &c.slab[0] != &p2[0] || &c.slab[len(p2)] != &p3[0] {
+			t.Fatal("the second and third payloads do not sit side by side in one slab")
+		}
+		for _, p := range [][]byte{p1, p2, p3} {
+			if cap(p) != len(p) {
+				t.Fatalf("payload has capacity %d past its length %d", cap(p), len(p))
+			}
+		}
+		_ = append(p2, 0xee, 0xee)
+		if !exact(p1, 100, 1) || !exact(p2, 100, 2) || !exact(p3, 100, 3) {
+			t.Fatal("an append to one payload wrote into another")
+		}
+	})
+
+	t.Run("a payload over slabMaxPayload gets its own allocation", func(t *testing.T) {
+		var c ConnDecoder
+		data(&c, slabMaxPayload, 1)
+		slab := c.slab
+		big := data(&c, slabMaxPayload+1, 2)
+		if cap(big) != slabMaxPayload+1 || len(c.slab) != len(slab) || &c.slab[0] != &slab[0] {
+			t.Fatalf("a %d B payload came from the slab (cap %d)", len(big), cap(big))
+		}
+	})
+
+	t.Run("a BlobChunk payload gets its own allocation", func(t *testing.T) {
+		var c ConnDecoder
+		data(&c, 100, 1)
+		slab := c.slab
+		m, err := c.Unmarshal(Marshal(BlobChunk{Stream: 1, K: 1, N: 1, Payload: bytes.Repeat([]byte{2}, 100)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := m.(BlobChunk).Payload; cap(p) != 100 || len(c.slab) != len(slab) || &c.slab[:1][0] != &slab[0] || !exact(p, 100, 2) {
+			t.Fatal("a BlobChunk payload came from the slab")
+		}
+	})
+
+	t.Run("a frame that fails leaves earlier payloads alone", func(t *testing.T) {
+		var c ConnDecoder
+		p1 := data(&c, 200, 1) // fills its slab: the bad frame's payload starts a new one
+		bad := append(Marshal(Data{Stream: 1, Payload: bytes.Repeat([]byte{9}, 200)}), 0)
+		if _, err := c.Unmarshal(bad); err == nil {
+			t.Fatal("a frame with a trailing byte decoded")
+		}
+		p2 := data(&c, 200, 2)
+		if !exact(p1, 200, 1) || !exact(p2, 200, 2) {
+			t.Fatal("a payload handed out before a failed frame changed")
+		}
+	})
+
+	t.Run("the slab doubles up to slabMax", func(t *testing.T) {
+		var c ConnDecoder
+		var caps []int
+		for i := 0; i < 1+2+4+8*4; i++ {
+			if data(&c, 256, byte(i)); len(c.slab) == 256 { // a refill
+				caps = append(caps, cap(c.slab))
+			}
+		}
+		want := []int{256, 512, 1024, 2048, 2048, 2048, 2048}
+		if !slices.Equal(caps, want) {
+			t.Fatalf("slab capacities %v, want %v", caps, want)
+		}
+	})
+
+	t.Run("Unmarshal copies every payload exactly", func(t *testing.T) {
+		frame := Marshal(Data{Stream: 1, Path: []ids.NodeID{1, 2}, Payload: bytes.Repeat([]byte{7}, 100)})
+		var got []Message
+		for i := 0; i < 3; i++ {
+			m, err := Unmarshal(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := m.(Data).Payload; cap(p) != len(p) || &p[0] == &frame[len(frame)-len(p)] {
+				t.Fatal("Unmarshal's payload is not an exact copy of its own")
+			}
+			got = append(got, m)
+		}
+		if got[0].(Data).Path == nil || &got[0].(Data).Path[0] == &got[1].(Data).Path[0] ||
+			&got[0].(Data).Payload[0] == &got[1].(Data).Payload[0] {
+			t.Fatal("two Unmarshal results share storage")
+		}
+		for _, m := range got {
+			if !reflect.DeepEqual(m, got[0]) {
+				t.Fatalf("Unmarshal gave %v and %v for one frame", got[0], m)
+			}
+		}
+	})
 }
